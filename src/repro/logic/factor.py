@@ -132,6 +132,7 @@ def kernels(cover: Cover) -> List[Tuple[Cover, FrozenSet[Literal]]]:
             frozenset(cube_literals(x) for x in base.cubes),
             (base, frozenset()))
     visit(cover, frozenset(), 0)
+    del visit  # break the recursive closure's reference cycle
     return list(results.values())
 
 

@@ -18,7 +18,9 @@ bit-parallel (Python ints as pattern vectors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from repro.logic.gates import GateType, eval_gate, gate_arity_ok, \
     gate_transistors
@@ -42,6 +44,24 @@ class Latch:
     output: str
     init: int = 0
     enable: Optional[str] = None
+
+
+class NodeLoad(NamedTuple):
+    """One entry of the load table (:meth:`Network.loads`): what a net
+    drives.
+
+    ``readers`` lists the gates reading the net in node-insertion order,
+    each paired with how many of its fanin pins the net drives;
+    ``latches`` counts the latches reading it on their data or enable
+    pin (a latch reading it on both counts once).  Whether the net is a
+    primary output is not recorded: ask ``name in net.outputs``.
+    """
+
+    readers: Tuple[Tuple[str, int], ...]
+    latches: int
+
+
+_NO_LOAD = NodeLoad((), 0)
 
 
 class Node:
@@ -94,6 +114,7 @@ class Network:
         self.latches: List[Latch] = []
         self._topo_cache: Optional[List[str]] = None
         self._fanout_cache: Optional[Dict[str, List[str]]] = None
+        self._load_cache: Optional[Dict[str, NodeLoad]] = None
         #: compiled evaluation programs (repro.sim.compiled /
         #: repro.sim.timed); opaque here to avoid a layering cycle.
         #: Cleared by every structural mutation hook and re-validated
@@ -107,6 +128,7 @@ class Network:
     def _invalidate(self) -> None:
         self._topo_cache = None
         self._fanout_cache = None
+        self._load_cache = None
         self._compiled = None
         self._timed = None
 
@@ -184,7 +206,10 @@ class Network:
     def fanouts(self) -> Dict[str, List[str]]:
         """Map node name -> names of nodes reading it (latch data counts).
 
-        The map is cached until the next structural mutation (the
+        A gate reading a net on several pins is listed once per pin;
+        latch readers (data, then enable) follow all gate readers.
+        Nets read but not driven (an incomplete network) get an entry
+        too.  The map is cached until the next structural mutation (the
         event-driven simulator reads it per construction); treat the
         returned dict as read-only.
         """
@@ -193,24 +218,50 @@ class Network:
         fo: Dict[str, List[str]] = {n: [] for n in self.nodes}
         for node in self.nodes.values():
             for fi in node.fanins:
-                fo[fi].append(node.name)
+                fo.setdefault(fi, []).append(node.name)
         for latch in self.latches:
-            fo[latch.data].append(latch.output)
+            fo.setdefault(latch.data, []).append(latch.output)
             if latch.enable is not None:
-                fo[latch.enable].append(latch.output)
+                fo.setdefault(latch.enable, []).append(latch.output)
         self._fanout_cache = fo
         return fo
 
-    def fanout_count(self, name: str) -> int:
-        count = 0
-        for node in self.nodes.values():
-            count += node.fanins.count(name)
+    def loads(self) -> Dict[str, NodeLoad]:
+        """The load table: node name -> :class:`NodeLoad`.
+
+        Built once from :meth:`fanouts` and cleared with it by every
+        structural mutation.  Capacitance and delay models sum over
+        ``readers`` in order, so their float sums do not depend on how
+        the table was built.  Treat the returned dict as read-only.
+        """
+        if self._load_cache is not None:
+            return self._load_cache
+        pins: Dict[str, int] = {}      # latch pins per net
+        latched: Dict[str, int] = {}   # latches per net
         for latch in self.latches:
-            count += int(latch.data == name)
-            count += int(latch.enable == name)
-        if name in self.outputs:
-            count += 1
-        return count
+            read = [n for n in (latch.data, latch.enable) if n is not None]
+            for sig in read:
+                pins[sig] = pins.get(sig, 0) + 1
+            for sig in set(read):
+                latched[sig] = latched.get(sig, 0) + 1
+        table: Dict[str, NodeLoad] = {}
+        for name, readers in self.fanouts().items():
+            gate_readers = readers[:len(readers) - pins.get(name, 0)]
+            table[name] = NodeLoad(
+                tuple((r, len(list(run))) for r, run in groupby(gate_readers)),
+                latched.get(name, 0))
+        self._load_cache = table
+        return table
+
+    def load(self, name: str) -> NodeLoad:
+        """Load-table entry of ``name`` (empty for a net nothing reads)."""
+        return self.loads().get(name, _NO_LOAD)
+
+    def fanout_count(self, name: str) -> int:
+        """Reader pins of ``name`` (gate fanins, latch data and enable
+        pins) plus one if it is a primary output.  Total: an undriven
+        or unknown name is counted like any other."""
+        return len(self.fanouts().get(name, ())) + int(name in self.outputs)
 
     def _cycle_error(self, through: str) -> NetlistError:
         """Build the cycle diagnostic for :meth:`topo_order`.
@@ -429,18 +480,22 @@ class Network:
     def sweep(self) -> int:
         """Remove dangling gates (no path to an output or latch). Returns
         the number of nodes removed."""
+        # Reader pins left per node; a primary output counts as one.
+        refs = {name: self.fanout_count(name) for name in self.nodes}
+
+        def dangling(name: str) -> bool:
+            return refs[name] == 0 and not self.nodes[name].is_source()
+
+        stack = [name for name in self.nodes if dangling(name)]
         removed = 0
-        changed = True
-        while changed:
-            changed = False
-            for name in list(self.nodes):
-                node = self.nodes[name]
-                if node.is_source() or name in self.outputs:
-                    continue
-                if self.fanout_count(name) == 0:
-                    del self.nodes[name]
-                    removed += 1
-                    changed = True
+        while stack:
+            node = self.nodes.pop(stack.pop())
+            removed += 1
+            for fi in node.fanins:
+                if fi in self.nodes:
+                    refs[fi] -= 1
+                    if dangling(fi):
+                        stack.append(fi)
         self._invalidate()
         return removed
 

@@ -13,7 +13,7 @@ paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
 from repro.power.model import PowerParameters
@@ -27,17 +27,17 @@ DRIVE_PER_LOAD = 0.1
 def _load_cap(net: Network, name: str, sizes: Dict[str, float],
               params: PowerParameters) -> float:
     """External load capacitance seen by a node (pin caps scale with the
-    reader's size)."""
+    reader's size).  Readers come from the network's load table, in
+    node order, so the float sum is the same however often it is
+    recomputed."""
+    entry = net.load(name)
     load = 0.0
-    for node in net.nodes.values():
-        times = node.fanins.count(name)
-        if times:
-            load += params.pin_cap_units * sizes.get(node.name, 1.0) * times
+    for reader, times in entry.readers:
+        load += params.pin_cap_units * sizes.get(reader, 1.0) * times
     if name in net.outputs:
         load += params.output_load_units
-    for latch in net.latches:
-        if latch.data == name or latch.enable == name:
-            load += params.pin_cap_units
+    for _ in range(entry.latches):
+        load += params.pin_cap_units
     return load
 
 
@@ -51,18 +51,109 @@ def _gate_delay(net: Network, name: str, sizes: Dict[str, float],
     return INTRINSIC_DELAY + DRIVE_PER_LOAD * load / size
 
 
+def _switched_term(net: Network, name: str, transistors: int,
+                   sizes: Dict[str, float], activity: Dict[str, float],
+                   params: PowerParameters) -> float:
+    """One node's activity-weighted capacitance."""
+    self_cap = params.self_cap_per_transistor * transistors * \
+        sizes.get(name, 1.0)
+    cap = self_cap + _load_cap(net, name, sizes, params)
+    return cap * activity.get(name, 0.0)
+
+
+class _Timing:
+    """Static timing of one network under changing sizes.
+
+    Holds what sizing reuses across its moves: the topological order
+    with each node's position and the timing sinks.  Gate delays are
+    computed once per sizing state and shared by the arrival and the
+    required-time pass; a trial move re-times only the fanout cone of
+    the gates whose delay it changes.
+    """
+
+    def __init__(self, net: Network, params: PowerParameters):
+        self.net = net
+        self.params = params
+        self.order = net.topo_order()
+        self.gates = [n for n in self.order if not net.nodes[n].is_source()]
+        self.position = {name: i for i, name in enumerate(self.order)}
+        self.sinks = list(net.outputs) + [l.data for l in net.latches]
+        self._cones: Dict[str, List[str]] = {}
+
+    def delays(self, sizes: Dict[str, float]) -> Dict[str, float]:
+        return {name: _gate_delay(self.net, name, sizes, self.params)
+                for name in self.gates}
+
+    def arrivals(self, delay: Dict[str, float]) -> Dict[str, float]:
+        nodes = self.net.nodes
+        arr: Dict[str, float] = {}
+        for name in self.order:
+            node = nodes[name]
+            if node.is_source():
+                arr[name] = 0.0
+            else:
+                arr[name] = delay[name] + max(
+                    (arr[fi] for fi in node.fanins), default=0.0)
+        return arr
+
+    def critical(self, arr: Dict[str, float]) -> float:
+        return max((arr[s] for s in self.sinks), default=0.0)
+
+    def slacks(self, arr: Dict[str, float], delay: Dict[str, float],
+               target: float) -> Dict[str, float]:
+        nodes = self.net.nodes
+        req: Dict[str, float] = {name: float("inf") for name in nodes}
+        for s in set(self.sinks):
+            req[s] = min(req[s], target)
+        for name in reversed(self.gates):
+            required = req[name] - delay[name]
+            for fi in nodes[name].fanins:
+                req[fi] = min(req[fi], required)
+        return {name: req[name] - arr[name] for name in nodes}
+
+    def cone(self, gate: str) -> List[str]:
+        """Gates whose arrival a resize of ``gate`` can change, in
+        topological order: the transitive fanout of ``gate`` and of its
+        gate fanins (their load includes its pins).  Purely structural,
+        so cached."""
+        cone = self._cones.get(gate)
+        if cone is None:
+            nodes, loads = self.net.nodes, self.net.loads()
+            seeds = [gate] + [fi for fi in nodes[gate].fanins
+                              if not nodes[fi].is_source()]
+            seen = set(seeds)
+            stack = list(seen)
+            while stack:
+                for reader, _times in loads[stack.pop()].readers:
+                    if reader not in seen:
+                        seen.add(reader)
+                        stack.append(reader)
+            cone = sorted(seen, key=self.position.__getitem__)
+            self._cones[gate] = cone
+        return cone
+
+    def retime(self, arr: Dict[str, float], delay: Dict[str, float],
+               sizes: Dict[str, float], gate: str
+               ) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Resize ``gate`` to ``sizes[gate]``, given the arrivals ``arr``
+        and delays ``delay`` from before: returns the new delays of the
+        gates whose delay changed and the new arrival times."""
+        nodes = self.net.nodes
+        moved = {name: _gate_delay(self.net, name, sizes, self.params)
+                 for name in [gate] + nodes[gate].fanins
+                 if not nodes[name].is_source()}
+        new = dict(arr)
+        for name in self.cone(gate):
+            d = moved[name] if name in moved else delay[name]
+            new[name] = d + max((new[fi] for fi in nodes[name].fanins),
+                                default=0.0)
+        return moved, new
+
+
 def arrival_times(net: Network, sizes: Dict[str, float],
                   params: PowerParameters) -> Dict[str, float]:
-    arr: Dict[str, float] = {}
-    for name in net.topo_order():
-        node = net.nodes[name]
-        if node.is_source():
-            arr[name] = 0.0
-        else:
-            d = _gate_delay(net, name, sizes, params)
-            arr[name] = d + max((arr[fi] for fi in node.fanins),
-                                default=0.0)
-    return arr
+    timing = _Timing(net, params)
+    return timing.arrivals(timing.delays(sizes))
 
 
 def critical_path_delay(net: Network,
@@ -79,19 +170,9 @@ def critical_path_delay(net: Network,
 def slacks(net: Network, sizes: Dict[str, float], target: float,
            params: PowerParameters) -> Dict[str, float]:
     """Per-node slack against a required output arrival time."""
-    arr = arrival_times(net, sizes, params)
-    req: Dict[str, float] = {name: float("inf") for name in net.nodes}
-    sinks = set(net.outputs) | {l.data for l in net.latches}
-    for s in sinks:
-        req[s] = min(req[s], target)
-    for name in reversed(net.topo_order()):
-        node = net.nodes[name]
-        if node.is_source():
-            continue
-        d = _gate_delay(net, name, sizes, params)
-        for fi in node.fanins:
-            req[fi] = min(req[fi], req[name] - d)
-    return {name: req[name] - arr[name] for name in net.nodes}
+    timing = _Timing(net, params)
+    delay = timing.delays(sizes)
+    return timing.slacks(timing.arrivals(delay), delay, target)
 
 
 def switched_capacitance(net: Network, sizes: Dict[str, float],
@@ -100,10 +181,8 @@ def switched_capacitance(net: Network, sizes: Dict[str, float],
     """Σ activity·C with size-scaled capacitances (the power objective)."""
     total = 0.0
     for name, node in net.nodes.items():
-        self_cap = params.self_cap_per_transistor * \
-            node.num_transistors() * sizes.get(name, 1.0)
-        cap = self_cap + _load_cap(net, name, sizes, params)
-        total += cap * activity.get(name, 0.0)
+        total += _switched_term(net, name, node.num_transistors(), sizes,
+                                activity, params)
     return total
 
 
@@ -162,11 +241,22 @@ def size_for_power(net: Network,
         else delay_before * 1.05
     power_before = switched_capacitance(net, sizes, activity, params)
 
+    # Incremental walk: a candidate re-times only its cone and is
+    # judged on the switched-capacitance terms it changes (its own
+    # self-capacitance and its fanins' pin loads); an accepted move
+    # carries its delays and arrivals into the next step.  Decisions
+    # match full recomputation (tests/test_load_model.py keeps
+    # that reference implementation).
+    timing = _Timing(net, params)
+    transistors = {name: node.num_transistors()
+                   for name, node in net.nodes.items()}
+    delay = timing.delays(sizes)
+    arr = timing.arrivals(delay)
     moves = 0
     improved = True
     while improved:
         improved = False
-        slk = slacks(net, sizes, target, params)
+        slk = timing.slacks(arr, delay, target)
         # Consider gates with positive slack, largest first.
         candidates = sorted(
             (name for name, s in slk.items()
@@ -176,11 +266,18 @@ def size_for_power(net: Network,
             idx = ordered.index(sizes[name])
             trial = dict(sizes)
             trial[name] = float(ordered[idx - 1])
-            if critical_path_delay(net, trial, params) <= target:
-                before = switched_capacitance(net, sizes, activity, params)
-                after = switched_capacitance(net, trial, activity, params)
-                if after < before:
+            trial_delay, trial_arr = timing.retime(arr, delay, trial, name)
+            if timing.critical(trial_arr) <= target:
+                delta = 0.0
+                for x in dict.fromkeys([name] + net.nodes[name].fanins):
+                    delta += _switched_term(net, x, transistors[x], trial,
+                                            activity, params) - \
+                        _switched_term(net, x, transistors[x], sizes,
+                                       activity, params)
+                if delta < 0.0:
                     sizes = trial
+                    delay.update(trial_delay)
+                    arr = trial_arr
                     moves += 1
                     improved = True
                     break

@@ -144,7 +144,9 @@ def _cut_function(net: Network, root: str, cut: Cut) -> Optional[int]:
         memo[name] = out
         return out
 
-    return value(root)
+    result = value(root)
+    del value  # break the recursive closure's reference cycle
+    return result
 
 
 @dataclass
@@ -293,6 +295,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
         [l.enable for l in subject.latches if l.enable]
     for root in roots:
         emit(root)
+    del emit  # break the recursive closure's reference cycle
     mapped.set_outputs(subject.outputs)
     mapped._invalidate()
     mapped.check()

@@ -68,8 +68,9 @@ def node_capacitance(net: Network, name: str,
     else:
         self_cap = params.self_cap_per_transistor * \
             node.num_transistors() * size
+    entry = net.load(name)
     load = 0.0
-    for reader_name, times in _reader_counts(net, name).items():
+    for reader_name, times in entry.readers:
         reader = net.nodes[reader_name]
         rcell = reader.attrs.get("cell")
         rsize = float(reader.attrs.get("size", 1.0))
@@ -79,19 +80,9 @@ def node_capacitance(net: Network, name: str,
             load += params.pin_cap_units * rsize * times
     if name in net.outputs:
         load += params.output_load_units
-    for latch in net.latches:
-        if latch.data == name or latch.enable == name:
-            load += params.pin_cap_units
+    for _ in range(entry.latches):
+        load += params.pin_cap_units
     return self_cap + load
-
-
-def _reader_counts(net: Network, name: str) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for node in net.nodes.values():
-        times = node.fanins.count(name)
-        if times:
-            counts[node.name] = times
-    return counts
 
 
 @dataclass

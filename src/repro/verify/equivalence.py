@@ -40,7 +40,9 @@ class EquivalenceResult:
 def combinational_equivalent(a: Network, b: Network) -> bool:
     """Exact combinational equivalence (canonical BDDs, shared manager).
 
-    Outputs are matched positionally; inputs by name.
+    Inputs are matched by name; outputs by name when both networks
+    name the same output set, positionally otherwise (see
+    :func:`repro.sim.functional._matched_outputs`).
     """
     from repro.sim.functional import verify_equivalence_exact
 
@@ -53,13 +55,18 @@ def sequential_equivalent(a: Network, b: Network,
     """Product-machine equivalence from the reset states.
 
     Both machines must have the same primary-input names; outputs are
-    compared positionally.  Latch enables are supported.  Raises
-    ``RuntimeError`` if the joint reachable space exceeds
-    ``max_joint_states``.
+    matched like the combinational checkers match them (by name when
+    both name the same output set, positionally otherwise; see
+    :func:`repro.sim.functional._matched_outputs`).  Latch enables are
+    supported.  Raises ``RuntimeError`` if the joint reachable space
+    exceeds ``max_joint_states``.
     """
+    from repro.sim.functional import _matched_outputs
+
     if set(a.inputs) != set(b.inputs):
         raise ValueError("networks have different primary inputs")
-    if len(a.outputs) != len(b.outputs):
+    pairs = _matched_outputs(a, b)
+    if pairs is None:
         return EquivalenceResult(False, 0,
                                  {"reason": "output count differs"})
     pis = sorted(a.inputs)
@@ -82,11 +89,10 @@ def sequential_equivalent(a: Network, b: Network,
         state_words = {name: (mask if bit else 0)
                        for name, bit in zip(latch_names, state)}
         nxt, values = net.step_words(state_words, input_words, mask)
-        out_words = [values[o] for o in net.outputs]
         succs = []
         for m in range(num_minterms):
             succs.append(tuple((nxt[l] >> m) & 1 for l in latch_names))
-        return out_words, succs
+        return values, succs
 
     init = (tuple(l.init for l in a.latches),
             tuple(l.init for l in b.latches))
@@ -97,16 +103,16 @@ def sequential_equivalent(a: Network, b: Network,
         nxt_frontier = []
         for sa, sb in frontier:
             explored += 1
-            outs_a, succs_a = step(a, latches_a, sa)
-            outs_b, succs_b = step(b, latches_b, sb)
-            for idx, (wa, wb) in enumerate(zip(outs_a, outs_b)):
-                diff = wa ^ wb
+            values_a, succs_a = step(a, latches_a, sa)
+            values_b, succs_b = step(b, latches_b, sb)
+            for out_a, out_b in pairs:
+                diff = values_a[out_a] ^ values_b[out_b]
                 if diff:
                     m = (diff & -diff).bit_length() - 1
                     return EquivalenceResult(
                         False, explored,
                         {"state_a": sa, "state_b": sb, "input": m,
-                         "output": (a.outputs[idx], b.outputs[idx])})
+                         "output": (out_a, out_b)})
             for m in range(num_minterms):
                 joint = (succs_a[m], succs_b[m])
                 if joint not in seen:

@@ -78,6 +78,32 @@ class TestSequentialChecker:
         with pytest.raises(RuntimeError):
             sequential_equivalent(net, net.copy(), max_joint_states=8)
 
+    def two_output_counter(self, outputs):
+        net = self.simple_counter()
+        net.add_gate("p", GateType.NOT, ["q"])
+        net.outputs = []
+        net.set_outputs(outputs)
+        return net
+
+    def test_outputs_matched_by_name(self):
+        """A permuted output list is the same machine, as for the
+        combinational checkers."""
+        a = self.two_output_counter(["o", "p"])
+        b = self.two_output_counter(["p", "o"])
+        assert sequential_equivalent(a, b).equivalent
+        rca = ripple_carry_adder(2)
+        rca.outputs.reverse()
+        assert combinational_equivalent(ripple_carry_adder(2), rca)
+
+    def test_renamed_outputs_fall_back_to_position(self):
+        a = self.two_output_counter(["o", "p"])
+        b = self.two_output_counter(["p", "o"])
+        b.add_gate("x", GateType.BUF, ["p"])
+        b.outputs = ["x", "o"]          # names differ: positional
+        res = sequential_equivalent(a, b)
+        assert not res.equivalent
+        assert res.counterexample["output"] == ("o", "x")
+
     def test_state_mismatch_with_equal_behaviour(self):
         """A re-encoded machine is equivalent despite different state
         bits (the product check only compares outputs)."""
