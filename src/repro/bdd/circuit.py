@@ -2,12 +2,43 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.bdd.bdd import BDD, BDDFunction
 from repro.logic.gates import GateType
-from repro.logic.netlist import Network
+from repro.logic.netlist import Network, Node
 from repro.logic.transform import node_cover
+
+
+def structural_order(net: Network) -> List[str]:
+    """Sources (primary inputs and latch outputs) in fanin-DFS order.
+
+    A depth-first walk from the primary outputs, then the latch data
+    pins, lists each source when first reached, so the inputs one
+    output cone reads sit next to each other (Malik et al., ICCAD'88):
+    ``a0 b0 a1 b1 ...`` for an adder or comparator, whose BDDs are
+    exponential in declaration order ``a0..a7 b0..b7``.  Sources no
+    root reaches follow in declaration order.  Use it as
+    ``network_bdds(net, BDD(structural_order(net)))``.
+    """
+    order: List[str] = []
+    seen: Set[str] = set()
+    roots = list(net.outputs) + [latch.data for latch in net.latches]
+    for root in roots:
+        stack = [root]
+        while stack:
+            name = stack.pop()
+            node = net.nodes.get(name)
+            if name in seen or node is None:
+                continue
+            seen.add(name)
+            if node.is_source():
+                order.append(name)
+            else:
+                stack.extend(reversed(node.fanins))
+    order.extend(name for name, node in net.nodes.items()
+                 if node.is_source() and name not in seen)
+    return order
 
 
 def bdd_to_cover(func: BDDFunction, var_order):
@@ -36,6 +67,27 @@ def bdd_to_cover(func: BDDFunction, var_order):
     return Cover(n, cubes).sccc()
 
 
+def node_function(manager: BDD, node: Node,
+                  fanin_funcs: Sequence[BDDFunction]) -> BDDFunction:
+    """BDD of one internal node from the BDDs of its fanins."""
+    if node.kind == "gate" and node.gtype is GateType.CONST0:
+        return manager.false
+    if node.kind == "gate" and node.gtype is GateType.CONST1:
+        return manager.true
+    acc = manager.false
+    for cube in node_cover(node):
+        term = manager.true
+        for var, phase in cube.literals():
+            lit = fanin_funcs[var]
+            term = term & (lit if phase else ~lit)
+            if term.is_false:
+                break
+        acc = acc | term
+        if acc.is_true:
+            break
+    return acc
+
+
 def network_bdds(net: Network, bdd: Optional[BDD] = None,
                  nodes: Optional[Iterable[str]] = None
                  ) -> Dict[str, BDDFunction]:
@@ -51,27 +103,9 @@ def network_bdds(net: Network, bdd: Optional[BDD] = None,
         node = net.nodes[name]
         if node.is_source():
             funcs[name] = manager.var(name)
-            continue
-        if node.kind == "gate" and node.gtype is GateType.CONST0:
-            funcs[name] = manager.false
-            continue
-        if node.kind == "gate" and node.gtype is GateType.CONST1:
-            funcs[name] = manager.true
-            continue
-        cover = node_cover(node)
-        fanin_funcs = [funcs[fi] for fi in node.fanins]
-        acc = manager.false
-        for cube in cover:
-            term = manager.true
-            for var, phase in cube.literals():
-                lit = fanin_funcs[var]
-                term = term & (lit if phase else ~lit)
-                if term.is_false:
-                    break
-            acc = acc | term
-            if acc.is_true:
-                break
-        funcs[name] = acc
+        else:
+            funcs[name] = node_function(
+                manager, node, [funcs[fi] for fi in node.fanins])
     if nodes is not None:
         wanted = set(nodes)
         return {k: v for k, v in funcs.items() if k in wanted}

@@ -13,14 +13,13 @@ the one that minimizes the node's expected switching contribution
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bdd.bdd import BDD, BDDFunction
-from repro.bdd.circuit import network_bdds
-from repro.logic.cube import Cube
+from repro.bdd.circuit import (bdd_to_cover, network_bdds, node_function,
+                               structural_order)
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
-from repro.logic.transform import node_cover
 from repro.power.activity import (SimulationCache,
                                   activity_from_probability,
                                   activity_from_simulation,
@@ -28,26 +27,18 @@ from repro.power.activity import (SimulationCache,
 from repro.power.model import node_capacitance
 
 
-def _bdd_to_cover(func: BDDFunction, var_order: List[str]) -> Cover:
-    """Enumerate the BDD's paths-to-TRUE as cubes over ``var_order``."""
-    bdd = func.bdd
-    index = {name: i for i, name in enumerate(var_order)}
-    n = len(var_order)
-    cubes: List[Cube] = []
+def _sources(net: Network) -> List[str]:
+    return [n.name for n in net.nodes.values() if n.is_source()]
 
-    def walk(node: int, lits: List[Tuple[int, int]]) -> None:
-        if node == BDD.FALSE:
-            return
-        if node == BDD.TRUE:
-            cubes.append(Cube.from_literals(n, lits))
-            return
-        name = bdd.var_names[bdd._level[node]]
-        var = index[name]
-        walk(bdd._lo[node], lits + [(var, 0)])
-        walk(bdd._hi[node], lits + [(var, 1)])
 
-    walk(func.node, [])
-    return Cover(n, cubes).sccc()
+def _fanin_relation(bdd: BDD, aux_names: List[str],
+                    fanin_funcs: List[BDDFunction]) -> BDDFunction:
+    """Characteristic function ``∏ (y_i ≡ f_i)`` of the fanin map: one
+    auxiliary variable ``y_i`` (created here) per fanin function."""
+    relation = bdd.true
+    for aux, f in zip(aux_names, fanin_funcs):
+        relation = relation & ~(bdd.var(aux) ^ f)
+    return relation
 
 
 def _fanin_space_image(net: Network, node: Node,
@@ -59,13 +50,20 @@ def _fanin_space_image(net: Network, node: Node,
     fanin) that is 1 exactly on fanin combinations some PI assignment
     produces.
     """
-    relation = bdd.true
-    for aux, fi in zip(aux_names, node.fanins):
-        y = bdd.var(aux)
-        f = funcs[fi]
-        relation = relation & ~(y ^ f)
-    sources = [n.name for n in net.nodes.values() if n.is_source()]
-    return relation.exists(sources)
+    relation = _fanin_relation(bdd, aux_names,
+                               [funcs[fi] for fi in node.fanins])
+    return relation.exists(_sources(net))
+
+
+def _structural_bdds(net: Network) -> Dict[str, BDDFunction]:
+    """Global BDDs in the structural variable order.
+
+    Every cover this module emits is a BDD over auxiliary variables
+    created after the sources, with the sources quantified out; it is
+    canonical whatever the source order, so the order changes only the
+    cost of getting there.
+    """
+    return network_bdds(net, BDD(structural_order(net)))
 
 
 def controllability_dont_cares(net: Network, node_name: str,
@@ -74,11 +72,24 @@ def controllability_dont_cares(net: Network, node_name: str,
     """CDC set of a node as a cover over its fanins."""
     node = net.node(node_name)
     if funcs is None:
-        funcs = network_bdds(net)
+        funcs = _structural_bdds(net)
     bdd = next(iter(funcs.values())).bdd
     aux = [f"__cdc_{node_name}_{i}" for i in range(len(node.fanins))]
     image = _fanin_space_image(net, node, funcs, bdd, aux)
-    return _bdd_to_cover(~image, aux)
+    return bdd_to_cover(~image, aux)
+
+
+def _fanout_cone(net: Network, node_name: str) -> Set[str]:
+    """The node and every internal node it reaches (latches cut)."""
+    fanouts = net.fanouts()
+    cone = {node_name}
+    stack = [node_name]
+    while stack:
+        for reader in fanouts.get(stack.pop(), ()):
+            if reader not in cone and not net.nodes[reader].is_source():
+                cone.add(reader)
+                stack.append(reader)
+    return cone
 
 
 def observability_dont_cares(net: Network, node_name: str,
@@ -87,38 +98,27 @@ def observability_dont_cares(net: Network, node_name: str,
     """ODC set over the primary inputs: assignments under which flipping
     the node changes no primary output."""
     if funcs is None:
-        funcs = network_bdds(net)
+        funcs = _structural_bdds(net)
     bdd = next(iter(funcs.values())).bdd
-    # Rebuild output functions with the node replaced by a free variable,
-    # then check insensitivity to that variable.
+    # Rebuild the node's transitive fanout cone with the node replaced
+    # by a free variable, then check insensitivity to that variable.
+    # Nodes outside the cone keep their functions, and so do outputs
+    # outside it (f1 == f0 there).
     shadow = f"__odc_{node_name}"
-    y = bdd.var(shadow)
-    alt: Dict[str, BDDFunction] = {}
+    cone = _fanout_cone(net, node_name)
+    alt = dict(funcs)
+    alt[node_name] = bdd.var(shadow)
     for name in net.topo_order():
-        node = net.nodes[name]
-        if name == node_name:
-            alt[name] = y
-            continue
-        if node.is_source():
-            alt[name] = funcs[name]
-            continue
-        cover = node_cover(node)
-        fanin_funcs = [alt[fi] for fi in node.fanins]
-        acc = bdd.false
-        for cube in cover:
-            term = bdd.true
-            for var, phase in cube.literals():
-                lit = fanin_funcs[var]
-                term = term & (lit if phase else ~lit)
-                if term.is_false:
-                    break
-            acc = acc | term
-        alt[name] = acc
+        if name in cone and name != node_name:
+            node = net.nodes[name]
+            alt[name] = node_function(bdd, node,
+                                      [alt[fi] for fi in node.fanins])
     odc = bdd.true
     for out in net.outputs:
-        f1 = alt[out].restrict({shadow: 1})
-        f0 = alt[out].restrict({shadow: 0})
-        odc = odc & ~(f1 ^ f0)
+        if out in cone:
+            f1 = alt[out].restrict({shadow: 1})
+            f0 = alt[out].restrict({shadow: 0})
+            odc = odc & ~(f1 ^ f0)
     return odc
 
 
@@ -214,7 +214,7 @@ def dontcare_power_optimization(net: Network,
         return cap, lits
 
     cap_before, lits_before = total_cost()
-    funcs = network_bdds(net)
+    funcs = _structural_bdds(net)
     changed = 0
     for name in net.topo_order():
         node = net.nodes[name]
@@ -226,20 +226,16 @@ def dontcare_power_optimization(net: Network,
         if use_observability:
             odc_global = observability_dont_cares(net, name, funcs)
             if not odc_global.is_false:
-                bdd = odc_global.bdd
                 aux = [f"__odcimg_{name}_{i}"
                        for i in range(len(node.fanins))]
-                relation = bdd.true
-                for a, fi in zip(aux, node.fanins):
-                    y = bdd.var(a)
-                    relation = relation & ~(y ^ funcs[fi])
-                sources = [n.name for n in net.nodes.values()
-                           if n.is_source()]
+                relation = _fanin_relation(
+                    odc_global.bdd, aux, [funcs[fi] for fi in node.fanins])
+                sources = _sources(net)
                 img = (relation & odc_global).exists(sources)
                 # Fanin combos reachable *only* under the ODC condition.
                 reach_all = relation.exists(sources)
                 non_odc = (relation & ~odc_global).exists(sources)
-                odc_cover = _bdd_to_cover(reach_all & img & ~non_odc, aux)
+                odc_cover = bdd_to_cover(reach_all & img & ~non_odc, aux)
                 dc = dc.union(odc_cover)
         if dc.is_empty():
             continue
@@ -267,7 +263,7 @@ def dontcare_power_optimization(net: Network,
                     sim_cache.adopt(trial)
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
-                funcs = network_bdds(net)
+                funcs = _structural_bdds(net)
             else:
                 node.cover = on
     cap_after, lits_after = total_cost()

@@ -91,21 +91,22 @@ def _matched_outputs(a: Network, b: Network
 def verify_equivalence_exact(a: Network, b: Network) -> bool:
     """Formal combinational equivalence via canonical BDDs.
 
-    Builds both networks' output functions in one shared manager; equal
-    functions hash-cons to the same node.  Outputs are matched by name
-    when both networks name the same output set, positionally otherwise
-    (see :func:`_matched_outputs`).  Exact but exponential in the worst
+    Builds both networks' output functions in one shared manager,
+    ordered by ``structural_order(a)``; equal functions hash-cons to the
+    same node.  Outputs are matched by name when both networks name the
+    same output set, positionally otherwise (see
+    :func:`_matched_outputs`).  Exact but exponential in the worst
     case — intended for the netlist sizes the optimizations operate on.
     """
     from repro.bdd.bdd import BDD
-    from repro.bdd.circuit import network_bdds
+    from repro.bdd.circuit import network_bdds, structural_order
 
     if set(a.inputs) != set(b.inputs):
         raise ValueError("networks have different inputs")
     pairs = _matched_outputs(a, b)
     if pairs is None:
         return False
-    manager = BDD(sorted(a.inputs))
+    manager = BDD(structural_order(a))
     fa = network_bdds(a, manager)
     fb = network_bdds(b, manager)
     return all(fa[x].node == fb[y].node for x, y in pairs)
