@@ -8,7 +8,7 @@ play in refs [3], [16], [30] of the surveyed paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 class BDD:
@@ -89,16 +89,27 @@ class BDD:
         hit = self._ite_cache.get(key)
         if hit is not None:
             return hit
-        top = min(self._level[f], self._level[g], self._level[h])
-
-        def cof(n: int, phase: int) -> int:
-            if self._level[n] != top:
-                return n
-            return self._hi[n] if phase else self._lo[n]
-
-        hi = self._ite(cof(f, 1), cof(g, 1), cof(h, 1))
-        lo = self._ite(cof(f, 0), cof(g, 0), cof(h, 0))
-        result = self._mk(top, lo, hi)
+        # Cofactors and the unique-table insert are inlined: this is
+        # the kernel's innermost recursion.
+        level, los, his = self._level, self._lo, self._hi
+        lf, lg, lh = level[f], level[g], level[h]
+        top = min(lf, lg, lh)
+        f0, f1 = (los[f], his[f]) if lf == top else (f, f)
+        g0, g1 = (los[g], his[g]) if lg == top else (g, g)
+        h0, h1 = (los[h], his[h]) if lh == top else (h, h)
+        hi = self._ite(f1, g1, h1)
+        lo = self._ite(f0, g0, h0)
+        if lo == hi:
+            result = lo
+        else:
+            ukey = (top, lo, hi)
+            result = self._unique.get(ukey)
+            if result is None:
+                result = len(los)
+                level.append(top)
+                los.append(lo)
+                his.append(hi)
+                self._unique[ukey] = result
         self._ite_cache[key] = result
         return result
 
@@ -123,10 +134,65 @@ class BDD:
         cache[f] = result
         return result
 
-    def _exists_one(self, f: int, level: int) -> int:
-        lo = self._restrict(f, level, 0, {})
-        hi = self._restrict(f, level, 1, {})
-        return self._ite(lo, BDD.TRUE, hi)
+    def _exists(self, f: int, levels: FrozenSet[int], last: int,
+                cache: Dict[int, int]) -> int:
+        """∃ over every level in ``levels`` (deepest: ``last``) in one
+        memoized walk that stops below ``last``."""
+        level = self._level[f]
+        if level > last:
+            return f
+        hit = cache.get(f)
+        if hit is not None:
+            return hit
+        lo = self._exists(self._lo[f], levels, last, cache)
+        quantified = level in levels
+        if quantified and lo == BDD.TRUE:
+            result = BDD.TRUE
+        else:
+            hi = self._exists(self._hi[f], levels, last, cache)
+            result = self._ite(lo, BDD.TRUE, hi) if quantified else \
+                self._mk(level, lo, hi)
+        cache[f] = result
+        return result
+
+    def _and_exists(self, f: int, g: int, levels: FrozenSet[int], last: int,
+                    cache: Dict[Tuple[int, int], int],
+                    ex_cache: Dict[int, int]) -> int:
+        """Relational product ∃ levels (f ∧ g) without building f ∧ g."""
+        if f == BDD.FALSE or g == BDD.FALSE:
+            return BDD.FALSE
+        if f == BDD.TRUE or f == g:
+            return self._exists(g, levels, last, ex_cache)
+        if g == BDD.TRUE:
+            return self._exists(f, levels, last, ex_cache)
+        if f > g:
+            f, g = g, f
+        lf, lg = self._level[f], self._level[g]
+        top = min(lf, lg)
+        if top > last:
+            return self._ite(f, g, BDD.FALSE)
+        key = (f, g)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        f0, f1 = (self._lo[f], self._hi[f]) if lf == top else (f, f)
+        g0, g1 = (self._lo[g], self._hi[g]) if lg == top else (g, g)
+        lo = self._and_exists(f0, g0, levels, last, cache, ex_cache)
+        quantified = top in levels
+        if quantified and lo == BDD.TRUE:
+            result = BDD.TRUE
+        else:
+            hi = self._and_exists(f1, g1, levels, last, cache, ex_cache)
+            result = self._ite(lo, BDD.TRUE, hi) if quantified else \
+                self._mk(top, lo, hi)
+        cache[key] = result
+        return result
+
+    def _quantify(self, variables: Iterable[str]
+                  ) -> Tuple[FrozenSet[int], int]:
+        """The level set of ``variables`` and its deepest level."""
+        levels = frozenset(self.var_level[name] for name in variables)
+        return levels, max(levels, default=-1)
 
     def _compose(self, f: int, level: int, g: int,
                  cache: Dict[int, int]) -> int:
@@ -248,16 +314,24 @@ class BDDFunction:
         return BDDFunction(self.bdd, node)
 
     def exists(self, variables: Iterable[str]) -> "BDDFunction":
-        node = self.node
-        for name in variables:
-            node = self.bdd._exists_one(node, self.bdd.var_level[name])
-        return BDDFunction(self.bdd, node)
+        levels, last = self.bdd._quantify(variables)
+        return BDDFunction(self.bdd,
+                           self.bdd._exists(self.node, levels, last, {}))
 
     def forall(self, variables: Iterable[str]) -> "BDDFunction":
-        inv = self.bdd._not(self.node)
-        for name in variables:
-            inv = self.bdd._exists_one(inv, self.bdd.var_level[name])
-        return BDDFunction(self.bdd, self.bdd._not(inv))
+        bdd = self.bdd
+        levels, last = bdd._quantify(variables)
+        inv = bdd._exists(bdd._not(self.node), levels, last, {})
+        return BDDFunction(bdd, bdd._not(inv))
+
+    def and_exists(self, other: "BDDFunction",
+                   variables: Iterable[str]) -> "BDDFunction":
+        """``(self & other).exists(variables)`` in one recursion, never
+        building the conjunction (the relational product)."""
+        o = self._coerce(other)
+        levels, last = self.bdd._quantify(variables)
+        return BDDFunction(self.bdd, self.bdd._and_exists(
+            self.node, o.node, levels, last, {}, {}))
 
     def compose(self, name: str, g: "BDDFunction") -> "BDDFunction":
         level = self.bdd.var_level[name]

@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from repro.logic.cube import Cube
 from repro.logic.gates import GateType
-from repro.logic.netlist import Network, Node
+from repro.logic.netlist import NetlistError, Network, Node
 from repro.logic.sop import Cover
 
 
@@ -300,21 +300,37 @@ def instantiate(target: Network, sub: Network, prefix: str,
 
 def collapse_buffers(net: Network) -> int:
     """Bypass BUF gates in place (readers connect to the BUF's fanin).
-    Buffers feeding primary outputs are kept.  Returns #buffers removed."""
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for name in list(net.nodes):
-            node = net.nodes.get(name)
-            if node is None or node.kind != "gate" or \
-                    node.gtype is not GateType.BUF:
-                continue
-            if name in net.outputs:
-                continue
-            src = node.fanins[0]
-            net.replace_everywhere(name, src)
-            net.remove_node(name)
-            removed += 1
-            changed = True
-    return removed
+    Buffers feeding primary outputs are kept.  Returns #buffers removed.
+
+    One pass: every reader pin of a removable buffer is rewired to the
+    first kept node up its buffer chain, then the buffers go at once.
+    """
+    outputs = set(net.outputs)
+    removable = {name for name, node in net.nodes.items()
+                 if node.kind == "gate" and node.gtype is GateType.BUF
+                 and name not in outputs}
+    if not removable:
+        return 0
+
+    def source(name: str) -> str:
+        chain = set()
+        while name in removable:
+            if name in chain:
+                raise NetlistError(f"buffer cycle through {name!r}")
+            chain.add(name)
+            name = net.nodes[name].fanins[0]
+        return name
+
+    for node in net.nodes.values():
+        if any(fi in removable for fi in node.fanins):
+            node.fanins = [source(fi) for fi in node.fanins]
+    for latch in net.latches:
+        latch.data = source(latch.data)
+        if latch.enable is not None:
+            latch.enable = source(latch.enable)
+    for name in removable:
+        del net.nodes[name]
+    # As replace_everywhere does, list each output once.
+    net.outputs = list(dict.fromkeys(net.outputs))
+    net._invalidate()
+    return len(removable)

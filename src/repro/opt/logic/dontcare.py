@@ -100,25 +100,29 @@ def observability_dont_cares(net: Network, node_name: str,
     if funcs is None:
         funcs = _structural_bdds(net)
     bdd = next(iter(funcs.values())).bdd
-    # Rebuild the node's transitive fanout cone with the node replaced
-    # by a free variable, then check insensitivity to that variable.
-    # Nodes outside the cone keep their functions, and so do outputs
-    # outside it (f1 == f0 there).
-    shadow = f"__odc_{node_name}"
+    # Rebuild the node's transitive fanout cone twice, with the node
+    # fixed to FALSE and to TRUE: an output ignores the node exactly
+    # where its two cofactors agree.  Nodes outside the cone keep their
+    # functions, and outputs outside it cannot see the node.
     cone = _fanout_cone(net, node_name)
-    alt = dict(funcs)
-    alt[node_name] = bdd.var(shadow)
-    for name in net.topo_order():
-        if name in cone and name != node_name:
+    order = [name for name in net.topo_order()
+             if name in cone and name != node_name]
+
+    def rebuild(value: BDDFunction) -> Dict[str, BDDFunction]:
+        alt = {node_name: value}
+        for name in order:
             node = net.nodes[name]
-            alt[name] = node_function(bdd, node,
-                                      [alt[fi] for fi in node.fanins])
+            alt[name] = node_function(
+                bdd, node,
+                [alt[fi] if fi in alt else funcs[fi] for fi in node.fanins])
+        return alt
+
+    outs = [out for out in net.outputs if out in cone]
     odc = bdd.true
-    for out in net.outputs:
-        if out in cone:
-            f1 = alt[out].restrict({shadow: 1})
-            f0 = alt[out].restrict({shadow: 0})
-            odc = odc & ~(f1 ^ f0)
+    if outs:
+        f0, f1 = rebuild(bdd.false), rebuild(bdd.true)
+        for out in outs:
+            odc = odc & ~(f1[out] ^ f0[out])
     return odc
 
 
@@ -231,10 +235,10 @@ def dontcare_power_optimization(net: Network,
                 relation = _fanin_relation(
                     odc_global.bdd, aux, [funcs[fi] for fi in node.fanins])
                 sources = _sources(net)
-                img = (relation & odc_global).exists(sources)
+                img = relation.and_exists(odc_global, sources)
                 # Fanin combos reachable *only* under the ODC condition.
                 reach_all = relation.exists(sources)
-                non_odc = (relation & ~odc_global).exists(sources)
+                non_odc = relation.and_exists(~odc_global, sources)
                 odc_cover = bdd_to_cover(reach_all & img & ~non_odc, aux)
                 dc = dc.union(odc_cover)
         if dc.is_empty():

@@ -21,12 +21,13 @@ carrying ``attrs["cell"]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.library.cells import Cell, Library
 
-from repro.logic.gates import GateType
+from repro.logic.gates import GateType, eval_gate
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
 from repro.logic.transform import decompose_to_primitives, \
@@ -109,19 +110,20 @@ def _enumerate_cuts(net: Network, k: int,
     return cuts
 
 
+@lru_cache(maxsize=None)
+def _leaf_words(n: int) -> Tuple[int, ...]:
+    """Truth-table word of each of ``n`` cut leaves: bit m of word i is
+    bit i of minterm m."""
+    return tuple(sum(1 << m for m in range(1 << n) if (m >> i) & 1)
+                 for i in range(n))
+
+
 def _cut_function(net: Network, root: str, cut: Cut) -> Optional[int]:
     """Truth table of ``root`` over the cut leaves, or None if the cone
     reads signals outside the cut."""
     n = len(cut)
-    leaf_words = {}
-    for i, leaf in enumerate(cut):
-        w = 0
-        for m in range(1 << n):
-            if (m >> i) & 1:
-                w |= 1 << m
-        leaf_words[leaf] = w
     mask = (1 << (1 << n)) - 1
-    memo: Dict[str, int] = dict(leaf_words)
+    memo: Dict[str, int] = dict(zip(cut, _leaf_words(n)))
 
     def value(name: str) -> Optional[int]:
         if name in memo:
@@ -129,8 +131,6 @@ def _cut_function(net: Network, root: str, cut: Cut) -> Optional[int]:
         node = net.nodes[name]
         if node.is_source():
             return None
-        from repro.logic.gates import eval_gate
-
         ins = []
         for fi in node.fanins:
             v = value(fi)

@@ -219,6 +219,17 @@ class TestConeLocalODC:
         assert_odc_matches(latched_circuit(seed, num_inputs, num_gates,
                                            num_latches))
 
+    @pytest.mark.parametrize("label, make", FIXED)
+    def test_adds_no_variable(self, label, make):
+        net = make()
+        funcs = network_bdds(net, BDD(structural_order(net)))
+        bdd = next(iter(funcs.values())).bdd
+        before = list(bdd.var_names)
+        for name, node in net.nodes.items():
+            if not node.is_source():
+                observability_dont_cares(net, name, funcs)
+        assert bdd.var_names == before
+
 
 # -- don't-care sets == exhaustive simulation ------------------------------
 

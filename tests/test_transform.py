@@ -1,6 +1,9 @@
 """Unit tests for repro.logic.transform."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.gates import GateType
 from repro.logic.generators import alu_slice, ripple_carry_adder
@@ -87,6 +90,83 @@ class TestCollapseBuffers:
         net.set_output("g")
         assert collapse_buffers(net) == 2
         assert net.nodes["g"].fanins == ["a"]
+
+    def test_chains_outputs_and_latch_pins_match_fixpoint_loop(self):
+        net = Network()
+        net.add_inputs(["a", "b"])
+        net.add_gate("b1", GateType.BUF, ["a"])
+        net.add_gate("b2", GateType.BUF, ["b1"])
+        net.add_gate("po", GateType.BUF, ["b2"])     # drives a PO: kept
+        net.add_gate("b3", GateType.BUF, ["po"])
+        net.add_gate("en", GateType.BUF, ["b"])
+        net.add_latch("b3", "q", enable="en")
+        net.add_gate("g", GateType.AND, ["b2", "q"])
+        net.set_outputs(["po", "g"])
+        ref = net.copy()
+        assert collapse_buffers(net) == fixpoint_collapse_buffers(ref) == 4
+        assert structure(net) == structure(ref)
+        assert net.nodes["po"].fanins == ["a"]
+        assert net.nodes["g"].fanins == ["a", "q"]
+        assert (net.latches[0].data, net.latches[0].enable) == ("po", "b")
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), num_gates=st.integers(1, 25),
+           num_latches=st.integers(0, 3))
+    def test_matches_fixpoint_loop(self, seed, num_gates, num_latches):
+        net = buffered_circuit(seed, num_gates, num_latches)
+        ref = net.copy()
+        assert collapse_buffers(net) == fixpoint_collapse_buffers(ref)
+        assert structure(net) == structure(ref)
+
+
+def fixpoint_collapse_buffers(net):
+    """collapse_buffers as a fixpoint of one-buffer rewrites."""
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        for name in list(net.nodes):
+            node = net.nodes.get(name)
+            if node is None or node.kind != "gate" or \
+                    node.gtype is not GateType.BUF:
+                continue
+            if name in net.outputs:
+                continue
+            net.replace_everywhere(name, node.fanins[0])
+            net.remove_node(name)
+            removed += 1
+            changed = True
+    return removed
+
+
+def buffered_circuit(seed, num_gates, num_latches):
+    """Random gates, about a third of them buffers (so chains form),
+    with latches reading random gates on data and enable and outputs
+    that include buffers."""
+    rng = random.Random(seed)
+    net = Network("buffered")
+    pool = net.add_inputs(["i0", "i1", "i2"])
+    gates = [f"g{k}" for k in range(num_gates)]
+    for k in range(num_latches):
+        enable = rng.choice(gates + [None])
+        net.add_latch(rng.choice(gates), f"q{k}", enable=enable)
+        pool.append(f"q{k}")
+    for name in gates:
+        if rng.random() < 0.4:
+            net.add_gate(name, GateType.BUF, [rng.choice(pool)])
+        else:
+            net.add_gate(name, rng.choice([GateType.AND, GateType.XOR]),
+                         [rng.choice(pool), rng.choice(pool)])
+        pool.append(name)
+    net.set_outputs(rng.sample(gates, max(1, num_gates // 4)))
+    return net
+
+
+def structure(net):
+    return ([(name, node.kind, node.gtype, node.fanins)
+             for name, node in net.nodes.items()],
+            [(l.data, l.output, l.init, l.enable) for l in net.latches],
+            net.outputs)
 
 
 class TestPropagateConstants:
