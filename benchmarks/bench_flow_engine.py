@@ -76,7 +76,8 @@ def engine_exercise(vectors=256, seed=0):
         make_pass("map"),
     ]
     with phase(PHASE_OPT):
-        final, trace, _ = run_network_passes(work, passes, ctx)
+        hostile = run_network_passes(work, passes, ctx)
+    final, trace = hostile.final, hostile.trace
     outcomes = {r.name: r.outcome for r in trace.records}
     reasons = {r.name: r.reason for r in trace.records}
     survived = verify_equivalence(net, final, 512, seed)

@@ -64,6 +64,7 @@ def bdd_to_cover(func: BDDFunction, var_order):
         walk(bdd._hi[node], lits + [(var, 1)])
 
     walk(func.node, [])
+    del walk  # break the recursive closure's reference cycle
     return Cover(n, cubes).sccc()
 
 

@@ -11,117 +11,18 @@ or rolled back — a crashing stage is recorded in the structured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.passes import (ADOPTED, FlowTrace, Pass, PassContext,
-                               StageRunner, make_pass, measure,
+from repro.core.passes import (FlowResult, FlowSpec, FlowStage,
+                               FlowTrace, PassContext, StageRunner,
                                run_network_passes)
 from repro.library.cells import Library, generic_library
 from repro.logic.netlist import Latch, Network
-from repro.power.model import PowerParameters, PowerReport
+from repro.power.model import PowerParameters
 
 __all__ = ["FlowStage", "FlowResult", "SequentialFlowResult",
            "low_power_flow", "fsm_low_power_flow", "run_flow"]
-
-
-@dataclass
-class FlowStage:
-    """Power snapshot after one optimization stage.
-
-    ``outcome`` records what the engine did: ``adopted`` (the stage's
-    result was kept), ``skipped`` (guard fired — e.g. ``size-cap``), or
-    ``rolled_back`` (the stage failed; the snapshot is of the unchanged
-    adopted state)."""
-
-    name: str
-    report: PowerReport
-    gates: int
-    transistors: int
-    depth: float
-    outcome: str = ADOPTED
-    reason: str = ""
-
-
-@dataclass
-class FlowResult:
-    """History of the whole flow."""
-
-    stages: List[FlowStage] = field(default_factory=list)
-    final: Optional[Network] = None
-    trace: Optional[FlowTrace] = None
-
-    @property
-    def total_saving(self) -> float:
-        if len(self.stages) < 2:
-            return 0.0
-        first = self.stages[0].report.total
-        last = self.stages[-1].report.total
-        return 1.0 - last / first if first else 0.0
-
-    def summary(self) -> str:
-        from repro.core.report import format_table
-
-        rows = []
-        base = self.stages[0].report.total if self.stages else 0.0
-        for s in self.stages:
-            outcome = s.outcome if s.outcome == ADOPTED else \
-                (f"{s.outcome}: {s.reason}" if s.reason else s.outcome)
-            rows.append([s.name, outcome, s.gates, s.transistors,
-                         s.depth, s.report.total * 1e6,
-                         (1.0 - s.report.total / base) if base
-                         else 0.0])
-        return format_table(
-            ["stage", "outcome", "gates", "transistors", "depth",
-             "power (uW)", "saving"], rows)
-
-
-def _default_passes(use_dontcares: bool, use_extraction: bool,
-                    use_mapping: bool, use_sizing: bool,
-                    dontcare_size_cap: Optional[int]) -> List[Pass]:
-    passes: List[Pass] = []
-    if use_dontcares:
-        passes.append(make_pass("dontcare",
-                                {"size_cap": dontcare_size_cap}))
-    if use_extraction:
-        passes.append(make_pass("extract"))
-    if use_mapping:
-        passes.append(make_pass("map"))
-    if use_sizing:
-        passes.append(make_pass("size"))
-    return passes
-
-
-def _run_engine(net: Network, passes: List[Pass], ctx: PassContext,
-                flow_name: str, strict: bool) -> FlowResult:
-    """Measure, run the pass list, and fold the engine's outcomes into
-    a :class:`FlowResult` (one stage entry per pass, whatever its
-    outcome, after the ``initial`` snapshot)."""
-    from repro.logic.transform import to_sop_network
-
-    # Enter the technology-independent SOP domain first so every stage
-    # is measured under the same capacitance model (gate and SOP nodes
-    # carry slightly different transistor-count proxies).
-    work = to_sop_network(net)
-    trace = FlowTrace(flow=flow_name, num_vectors=ctx.num_vectors,
-                      seed=ctx.seed, strict=strict)
-    initial = measure(work, ctx)
-    result = FlowResult(trace=trace)
-    result.stages.append(FlowStage(
-        name="initial", report=initial.report, gates=initial.gates,
-        transistors=initial.transistors, depth=initial.depth))
-    final, trace, outcomes = run_network_passes(
-        work, passes, ctx, strict=strict, trace=trace,
-        initial=initial)
-    for oc in outcomes:
-        snap = oc.snapshot
-        result.stages.append(FlowStage(
-            name=oc.record.name, report=snap.report,
-            gates=snap.gates, transistors=snap.transistors,
-            depth=snap.depth, outcome=oc.record.outcome,
-            reason=oc.record.reason))
-    result.final = final
-    return result
 
 
 def low_power_flow(net: Network,
@@ -129,51 +30,60 @@ def low_power_flow(net: Network,
                    input_probs: Optional[Dict[str, float]] = None,
                    params: Optional[PowerParameters] = None,
                    num_vectors: int = 1024, seed: int = 0,
-                   use_dontcares: bool = True,
-                   use_extraction: bool = True,
                    use_mapping: bool = True,
                    use_sizing: bool = True,
-                   check_equivalence: bool = True,
                    dontcare_size_cap: Optional[int] = 120,
                    strict: bool = False,
                    strict_lint: bool = False) -> FlowResult:
     """Run the combinational low-power flow on (a copy of) ``net``.
 
     Stages: don't-care re-minimization → power-aware kernel extraction
-    → power-driven technology mapping → slack-recycling sizing.  Each
-    stage runs on a trial copy, is verified against the original by
-    random simulation (``max(256, num_vectors // 4)`` vectors), and is
-    rolled back — with the failure recorded in ``result.trace`` — when
-    it raises or breaks equivalence.  ``dontcare_size_cap`` skips the
-    (expensive) don't-care stage above that many gates, recording the
-    skip; ``None`` removes the cap.  ``strict=True`` re-raises stage
-    failures instead of rolling back.  ``strict_lint=True`` runs the
-    structural invariant linter on every candidate network and rolls
-    back stages that break an invariant (trace reason ``lint``).
+    → power-driven technology mapping → slack-recycling sizing, run as
+    the canonical ``low_power_flow`` :class:`FlowSpec` by
+    :func:`run_flow`.  Each stage runs on a trial copy, is verified
+    against the original by random simulation (``max(256, num_vectors
+    // 4)`` vectors), and is rolled back — with the failure recorded in
+    ``result.trace`` — when it raises or breaks equivalence.
+    ``dontcare_size_cap`` skips the (expensive) don't-care stage above
+    that many gates, recording the skip; ``None`` removes the cap.
+    ``strict=True`` re-raises stage failures instead of rolling back.
+    ``strict_lint=True`` runs the structural invariant linter on every
+    candidate network and rolls back stages that break an invariant
+    (trace reason ``lint``).
     """
-    library = library or generic_library()
-    ctx = PassContext(original=net, library=library,
-                      input_probs=input_probs, params=params,
-                      num_vectors=num_vectors, seed=seed,
-                      check_equivalence=check_equivalence,
-                      lint=strict_lint)
-    passes = _default_passes(use_dontcares, use_extraction,
-                             use_mapping, use_sizing,
-                             dontcare_size_cap)
-    return _run_engine(net, passes, ctx, "low_power_flow", strict)
+    passes = [("dontcare", {"size_cap": dontcare_size_cap}),
+              ("extract", {})]
+    if use_mapping:
+        passes.append(("map", {}))
+    if use_sizing:
+        passes.append(("size", {}))
+    spec = FlowSpec(name="low_power_flow", passes=passes,
+                    num_vectors=num_vectors, seed=seed, strict=strict,
+                    strict_lint=strict_lint)
+    return run_flow(net, spec, library, input_probs, params)
 
 
-def run_flow(net: Network, spec, library: Optional[Library] = None,
+def run_flow(net: Network, spec: FlowSpec,
+             library: Optional[Library] = None,
              input_probs: Optional[Dict[str, float]] = None,
              params: Optional[PowerParameters] = None) -> FlowResult:
-    """Run a declarative :class:`~repro.core.passes.FlowSpec`."""
-    library = library or generic_library()
-    ctx = PassContext(original=net, library=library,
+    """Run a declarative :class:`~repro.core.passes.FlowSpec` on (a copy
+    of) ``net``."""
+    from repro.logic.transform import to_sop_network
+
+    passes = spec.build()   # unknown pass names fail before any work
+    ctx = PassContext(original=net, library=library or generic_library(),
                       input_probs=input_probs, params=params,
                       num_vectors=spec.num_vectors, seed=spec.seed,
                       check_equivalence=spec.check_equivalence,
                       lint=spec.strict_lint)
-    return _run_engine(net, spec.build(), ctx, spec.name, spec.strict)
+    trace = FlowTrace(flow=spec.name, num_vectors=spec.num_vectors,
+                      seed=spec.seed, strict=spec.strict)
+    # Enter the technology-independent SOP domain first so every stage
+    # is measured under the same capacitance model (gate and SOP nodes
+    # carry slightly different transistor-count proxies).
+    return run_network_passes(to_sop_network(net), passes, ctx,
+                              strict=spec.strict, trace=trace)
 
 
 # -- the sequential (FSM) flow ------------------------------------------

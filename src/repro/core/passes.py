@@ -1,9 +1,6 @@
 """Fail-soft pass manager for the optimization flows.
 
-The flows of :mod:`repro.core.flow` used to be rigid chains: the first
-stage exception aborted the whole run, skipped stages left no evidence,
-and nothing recorded what each stage actually did.  This module is the
-engine underneath them now:
+The engine underneath the flows of :mod:`repro.core.flow`:
 
 * every optimization runs as a registered :class:`Pass` on a **trial
   copy** of the working network;
@@ -16,7 +13,8 @@ engine underneath them now:
 * every pass emits a structured :class:`TraceRecord` (wall time, power
   before/after, gate/transistor/depth deltas, verification strength,
   outcome, reason) collected into a :class:`FlowTrace` that serializes
-  to JSONL.
+  to JSONL, and leaves a :class:`FlowStage` snapshot of the adopted
+  state in the returned :class:`FlowResult`.
 
 Concrete pass adapters live in :mod:`repro.opt.adapters`; declarative
 flows (pass list + per-pass params, loadable from JSON) are described
@@ -28,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -260,50 +258,98 @@ class FlowTrace:
         return hashlib.sha256(blob).hexdigest()
 
 
-# -- measurement ---------------------------------------------------------
+# -- results -------------------------------------------------------------
 
 @dataclass
-class Snapshot:
-    """Power/size measurement of one network state."""
+class FlowStage:
+    """Power/size snapshot of the adopted network after one pass.
 
+    ``outcome`` records what the engine did: ``adopted`` (the pass's
+    result was kept), ``skipped`` (guard fired — e.g. ``size-cap``), or
+    ``rolled_back`` (the pass failed; the snapshot is of the unchanged
+    adopted state).  The flow's first stage, ``initial``, is the input
+    as the engine received it."""
+
+    name: str
     report: PowerReport
     gates: int
     transistors: int
     depth: float
+    outcome: str = ADOPTED
+    reason: str = ""
 
 
-def measure(net: Network, ctx: PassContext) -> Snapshot:
+@dataclass
+class FlowResult:
+    """History of a whole flow: the ``initial`` stage, then one stage
+    per pass whatever its outcome, the final network, and the trace."""
+
+    stages: List[FlowStage] = field(default_factory=list)
+    final: Optional[Network] = None
+    trace: Optional[FlowTrace] = None
+
+    def __iter__(self):
+        # perfbench's tracer unpacks the engine's return value as
+        # ``(final, trace, stages)``.
+        return iter((self.final, self.trace, self.stages))
+
+    @property
+    def total_saving(self) -> float:
+        if len(self.stages) < 2:
+            return 0.0
+        first = self.stages[0].report.total
+        last = self.stages[-1].report.total
+        return 1.0 - last / first if first else 0.0
+
+    def summary(self) -> str:
+        from repro.core.report import format_table
+
+        rows = []
+        base = self.stages[0].report.total if self.stages else 0.0
+        for s in self.stages:
+            outcome = s.outcome if s.outcome == ADOPTED else \
+                (f"{s.outcome}: {s.reason}" if s.reason else s.outcome)
+            rows.append([s.name, outcome, s.gates, s.transistors,
+                         s.depth, s.report.total * 1e6,
+                         (1.0 - s.report.total / base) if base
+                         else 0.0])
+        return format_table(
+            ["stage", "outcome", "gates", "transistors", "depth",
+             "power (uW)", "saving"], rows)
+
+
+def measure(net: Network, ctx: PassContext) -> FlowStage:
+    """Snapshot ``net`` as an ``initial`` stage."""
     activity, _ = activity_from_simulation(net, ctx.num_vectors,
                                            ctx.seed, ctx.input_probs)
     rep = power_report(net, activity, ctx.params)
-    return Snapshot(report=rep, gates=net.num_gates(),
-                    transistors=net.num_transistors(),
-                    depth=net.depth())
+    return FlowStage(name="initial", report=rep, gates=net.num_gates(),
+                     transistors=net.num_transistors(),
+                     depth=net.depth())
 
 
 # -- the engine ----------------------------------------------------------
 
-@dataclass
-class StageOutcome:
-    """Engine output per pass: trace record + adopted-state snapshot."""
+class _Rejected(Exception):
+    """A verification gate rejected a pass's candidate; ``reason`` is
+    the trace reason (``equivalence``, ``lint``, ``power-regression``)."""
 
-    record: TraceRecord
-    snapshot: Snapshot
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 def run_network_passes(net: Network, passes: Sequence[Pass],
                        ctx: PassContext, strict: bool = False,
-                       trace: Optional[FlowTrace] = None,
-                       initial: Optional[Snapshot] = None
-                       ) -> Tuple[Network, FlowTrace,
-                                  List[StageOutcome]]:
+                       trace: Optional[FlowTrace] = None
+                       ) -> FlowResult:
     """Run ``passes`` over ``net`` with trial-copy/adopt semantics.
 
     ``net`` itself is never mutated: each pass runs on a copy of the
     current working network, and the copy is adopted only when the pass
-    succeeds, verifies, and clears its power gate.  Returns the final
-    network, the trace, and one :class:`StageOutcome` per pass (the
-    snapshot is of the *adopted* state — unchanged when the pass was
+    succeeds, verifies, and clears its power gate.  Returns a
+    :class:`FlowResult` whose stages are ``initial`` plus one
+    adopted-state snapshot per pass (unchanged when the pass was
     skipped or rolled back).
 
     With ``strict=True`` any failure raises :class:`FlowError` (or the
@@ -318,13 +364,12 @@ def run_network_passes(net: Network, passes: Sequence[Pass],
             raise FlowError(
                 "input network fails invariant lint: "
                 + "; ".join(d.render() for d in entry_errors[:3]))
-    current = initial if initial is not None else measure(work, ctx)
-    outcomes: List[StageOutcome] = []
+    current = measure(work, ctx)
+    result = FlowResult(stages=[current], trace=trace)
 
     for p in passes:
-        index = len(trace.records)
         rec = TraceRecord(
-            index=index, name=p.name, outcome=ADOPTED,
+            index=len(trace.records), name=p.name, outcome=ADOPTED,
             power_before=current.report.total,
             power_after=current.report.total,
             gates_before=current.gates, gates_after=current.gates,
@@ -332,117 +377,84 @@ def run_network_passes(net: Network, passes: Sequence[Pass],
             transistors_after=current.transistors,
             depth_before=current.depth, depth_after=current.depth)
         start = time.perf_counter()
+        failure: Optional[Exception] = None
 
         skip = p.guard(work, ctx, p.params) if p.guard else None
         if skip is not None:
             rec.outcome, rec.reason = SKIPPED, skip
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            continue
+        else:
+            try:
+                candidate, after = _trial(p, work, current, ctx, rec)
+            except _Rejected as exc:
+                rec.outcome, rec.reason = ROLLED_BACK, exc.reason
+                failure = FlowError(str(exc))
+            except Exception as exc:
+                rec.outcome = ROLLED_BACK
+                rec.reason = f"exception: {type(exc).__name__}: {exc}"
+                # A partial mutation died with the trial copy; the
+                # adopted state is untouched.
+                rec.power_after = rec.power_before
+                rec.gates_after = rec.gates_before
+                rec.transistors_after = rec.transistors_before
+                rec.depth_after = rec.depth_before
+                failure = exc
+            else:
+                work, current = candidate, after
 
-        try:
-            trial = work.copy()
-            replacement = p.apply(trial, ctx, p.params)
-            candidate = replacement if replacement is not None \
-                else trial
-
-            if p.verify and ctx.check_equivalence and \
-                    not candidate.latches and not ctx.original.latches:
-                rec.verify_vectors = ctx.verify_vectors
-                if not verify_equivalence(ctx.original, candidate,
-                                          rec.verify_vectors,
-                                          ctx.seed):
-                    raise _EquivalenceBreak(
-                        f"stage {p.name!r} broke equivalence")
-
-            if ctx.lint:
-                errors = _lint_errors(candidate)
-                rec.lint_errors = len(errors)
-                if errors:
-                    rec.lint = [d.to_json() for d in errors]
-                    raise _LintBreak(
-                        f"stage {p.name!r} broke a structural "
-                        f"invariant: "
-                        + "; ".join(d.render() for d in errors[:3]))
-
-            after = measure(candidate, ctx)
-            rec.power_after = after.report.total
-            rec.gates_after = after.gates
-            rec.transistors_after = after.transistors
-            rec.depth_after = after.depth
-
-            tol = p.max_power_regression
-            if tol is not None and current.report.total and \
-                    after.report.total > \
-                    current.report.total * (1.0 + tol):
-                raise _PowerRegression(
-                    f"stage {p.name!r} regressed power "
-                    f"{current.report.total:.4g} -> "
-                    f"{after.report.total:.4g} W "
-                    f"(tolerance {tol:+.1%})")
-
-        except _EquivalenceBreak as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = "equivalence"
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            if strict:
-                raise RuntimeError(str(exc)) from None
-            continue
-        except _LintBreak as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = "lint"
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            if strict:
-                raise FlowError(str(exc)) from None
-            continue
-        except _PowerRegression as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = "power-regression"
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            if strict:
-                raise FlowError(str(exc)) from None
-            continue
-        except Exception as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = f"exception: {type(exc).__name__}: {exc}"
-            # A partial mutation died with the trial copy; the adopted
-            # state is untouched.
-            rec.power_after = rec.power_before
-            rec.gates_after = rec.gates_before
-            rec.transistors_after = rec.transistors_before
-            rec.depth_after = rec.depth_before
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            if strict:
-                raise
-            continue
-
-        work, current = candidate, after
         rec.wall_s = time.perf_counter() - start
         trace.add(rec)
-        outcomes.append(StageOutcome(rec, current))
+        result.stages.append(replace(current, name=p.name,
+                                     outcome=rec.outcome,
+                                     reason=rec.reason))
+        if strict and failure is not None:
+            raise failure
 
-    return work, trace, outcomes
-
-
-class _EquivalenceBreak(Exception):
-    pass
-
-
-class _PowerRegression(Exception):
-    pass
+    result.final = work
+    return result
 
 
-class _LintBreak(Exception):
-    pass
+def _trial(p: Pass, work: Network, current: FlowStage,
+           ctx: PassContext, rec: TraceRecord
+           ) -> Tuple[Network, FlowStage]:
+    """Run ``p`` on a copy of ``work`` and pass it through the gates,
+    filling ``rec``; raises :class:`_Rejected` when a gate fails."""
+    trial = work.copy()
+    replacement = p.apply(trial, ctx, p.params)
+    candidate = replacement if replacement is not None else trial
+
+    if p.verify and ctx.check_equivalence and \
+            not candidate.latches and not ctx.original.latches:
+        rec.verify_vectors = ctx.verify_vectors
+        if not verify_equivalence(ctx.original, candidate,
+                                  rec.verify_vectors, ctx.seed):
+            raise _Rejected("equivalence",
+                            f"stage {p.name!r} broke equivalence")
+
+    if ctx.lint:
+        errors = _lint_errors(candidate)
+        rec.lint_errors = len(errors)
+        if errors:
+            rec.lint = [d.to_json() for d in errors]
+            raise _Rejected(
+                "lint",
+                f"stage {p.name!r} broke a structural invariant: "
+                + "; ".join(d.render() for d in errors[:3]))
+
+    after = measure(candidate, ctx)
+    rec.power_after = after.report.total
+    rec.gates_after = after.gates
+    rec.transistors_after = after.transistors
+    rec.depth_after = after.depth
+
+    tol = p.max_power_regression
+    if tol is not None and current.report.total and \
+            after.report.total > current.report.total * (1.0 + tol):
+        raise _Rejected(
+            "power-regression",
+            f"stage {p.name!r} regressed power "
+            f"{current.report.total:.4g} -> {after.report.total:.4g} W "
+            f"(tolerance {tol:+.1%})")
+    return candidate, after
 
 
 def _lint_errors(net: Network):
@@ -515,6 +527,12 @@ class FlowSpec:
     def from_dict(cls, d: Dict[str, Any]) -> "FlowSpec":
         if not isinstance(d, dict):
             raise ValueError("flow spec must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        for key in d:
+            if key not in known:
+                raise ValueError(
+                    f"unknown flow spec key {key!r}; known: "
+                    f"{', '.join(sorted(known))}")
         entries = d.get("passes")
         if not isinstance(entries, list) or not entries:
             raise ValueError(

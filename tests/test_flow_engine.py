@@ -1,7 +1,9 @@
 """Tests for the fail-soft pass engine (repro.core.passes), the flows
 rebuilt on top of it, and the flow/CLI bug batch."""
 
+import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +12,12 @@ from repro.core.flow import (_enable_rate, fsm_low_power_flow,
 from repro.core.passes import (ADOPTED, FlowError, FlowSpec,
                                FlowTrace, Pass, PassContext,
                                ROLLED_BACK, SKIPPED, TraceRecord,
-                               available_passes, make_pass,
-                               run_network_passes)
+                               available_passes, load_flow_spec,
+                               make_pass, run_network_passes)
 from repro.logic.blif import write_blif
 from repro.logic.gates import GateType
-from repro.logic.generators import ripple_carry_adder
+from repro.logic.generators import (array_multiplier, random_logic,
+                                    ripple_carry_adder)
 from repro.logic.netlist import Latch, Network
 from repro.logic.transform import to_sop_network
 from repro.sim.functional import verify_equivalence
@@ -50,13 +53,13 @@ class TestRollback:
         passes = [make_pass("extract"),
                   Pass(name="bomb", apply=_raise),
                   make_pass("map")]
-        final, trace, outcomes = _engine(net, passes)
-        by = {r.name: r for r in trace.records}
+        res = _engine(net, passes)
+        by = {r.name: r for r in res.trace.records}
         assert by["bomb"].outcome == ROLLED_BACK
         assert by["bomb"].reason.startswith("exception: RuntimeError")
         assert by["extract"].outcome == ADOPTED
         assert by["map"].outcome == ADOPTED        # flow kept going
-        assert verify_equivalence(net, final, 512)
+        assert verify_equivalence(net, res.final, 512)
         # the rolled-back record shows no delta
         assert by["bomb"].power_after == by["bomb"].power_before
         assert by["bomb"].gates_after == by["bomb"].gates_before
@@ -71,38 +74,38 @@ class TestRollback:
         net = ripple_carry_adder(2)
         passes = [Pass(name="breaker", apply=_complement_output),
                   make_pass("map")]
-        final, trace, _ = _engine(net, passes)
-        by = {r.name: r for r in trace.records}
+        res = _engine(net, passes)
+        by = {r.name: r for r in res.trace.records}
         assert by["breaker"].outcome == ROLLED_BACK
         assert by["breaker"].reason == "equivalence"
         assert by["breaker"].verify_vectors == 256
         assert by["map"].outcome == ADOPTED
-        assert verify_equivalence(net, final, 512)
+        assert verify_equivalence(net, res.final, 512)
 
     def test_equivalence_break_strict_raises(self):
         net = ripple_carry_adder(2)
         passes = [Pass(name="breaker", apply=_complement_output)]
-        with pytest.raises(RuntimeError, match="broke equivalence"):
+        with pytest.raises(FlowError, match="broke equivalence"):
             _engine(net, passes, strict=True)
 
     def test_power_regression_gate(self):
         net = ripple_carry_adder(2)
         gated = [Pass(name="inflate", apply=_inflate_sizes,
                       max_power_regression=0.0)]
-        final, trace, _ = _engine(net, gated)
-        assert trace.records[0].outcome == ROLLED_BACK
-        assert trace.records[0].reason == "power-regression"
+        res = _engine(net, gated)
+        rec = res.trace.records[0]
+        assert rec.outcome == ROLLED_BACK
+        assert rec.reason == "power-regression"
         # the rejected candidate's power is still recorded
-        assert trace.records[0].power_after > \
-            trace.records[0].power_before
+        assert rec.power_after > rec.power_before
         assert all(float(n.attrs.get("size", 1.0)) == 1.0
-                   for n in final.nodes.values())
+                   for n in res.final.nodes.values())
 
     def test_power_regression_ungated_adopts(self):
         net = ripple_carry_adder(2)
         passes = [Pass(name="inflate", apply=_inflate_sizes)]
-        final, trace, _ = _engine(net, passes)
-        assert trace.records[0].outcome == ADOPTED
+        res = _engine(net, passes)
+        assert res.trace.records[0].outcome == ADOPTED
 
     def test_power_regression_strict_raises(self):
         net = ripple_carry_adder(2)
@@ -116,6 +119,93 @@ class TestRollback:
         blif_before = write_blif(net)
         _engine(net, [make_pass("extract"), make_pass("map")])
         assert write_blif(net) == blif_before
+
+
+def _break_invariant(net, ctx, params):
+    for node in net.nodes.values():
+        if not node.is_source():
+            node.attrs["delay"] = -1.0
+            break
+    net._invalidate()
+
+
+def _hostile(kind):
+    net = ripple_carry_adder(2)
+    bad = {"exception": Pass(name="bomb", apply=_raise),
+           "equivalence": Pass(name="breaker", apply=_complement_output),
+           "lint": Pass(name="corruptor", apply=_break_invariant,
+                        verify=False),
+           "power-regression": Pass(name="inflate", apply=_inflate_sizes,
+                                    max_power_regression=0.0)}[kind]
+    ctx = PassContext(original=net, num_vectors=256, seed=0,
+                      lint=kind == "lint")
+    return run_network_passes(to_sop_network(net),
+                              [make_pass("extract"), bad,
+                               make_pass("map")], ctx)
+
+
+_FLOWS = {
+    "default": lambda: low_power_flow(ripple_carry_adder(3),
+                                      num_vectors=128),
+    "skip": lambda: run_flow(ripple_carry_adder(2), FlowSpec.from_dict(
+        {"num_vectors": 128,
+         "passes": [{"pass": "dontcare", "params": {"size_cap": 0}},
+                    "extract"]})),
+    "exception": lambda: _hostile("exception"),
+    "equivalence": lambda: _hostile("equivalence"),
+    "lint": lambda: _hostile("lint"),
+    "power-regression": lambda: _hostile("power-regression"),
+}
+
+
+class TestFlowResult:
+    @pytest.mark.parametrize("kind", sorted(_FLOWS))
+    def test_stages_agree_with_trace(self, kind):
+        res = _FLOWS[kind]()
+        stages, records = res.stages, res.trace.records
+        assert len(stages) == len(records) + 1
+        assert stages[0].name == "initial"
+        reasons = [r.reason for r in records]
+        if kind == "skip":
+            assert "size-cap" in reasons
+        elif kind == "exception":
+            assert any(r.startswith("exception:") for r in reasons)
+        elif kind != "default":
+            assert kind in reasons
+        for prev, stage, rec in zip(stages, stages[1:], records):
+            assert (stage.name, stage.outcome, stage.reason) == \
+                (rec.name, rec.outcome, rec.reason)
+            before = (rec.power_before, rec.gates_before,
+                      rec.transistors_before, rec.depth_before)
+            after = (rec.power_after, rec.gates_after,
+                     rec.transistors_after, rec.depth_after)
+            snap = (stage.report.total, stage.gates, stage.transistors,
+                    stage.depth)
+            assert before == (prev.report.total, prev.gates,
+                              prev.transistors, prev.depth)
+            if rec.reason == "power-regression":
+                # the record keeps the rejected candidate's numbers,
+                # the stage the adopted (unchanged) state
+                assert after != snap and before == snap
+            else:
+                assert after == snap
+
+    def test_unpacks_as_final_trace_stages(self):
+        res = _hostile("exception")
+        final, trace, stages = res
+        assert (final, trace, stages) == \
+            (res.final, res.trace, res.stages)
+
+    def test_flows_leave_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            low_power_flow(array_multiplier(4))
+            run_flow(random_logic(16, 150, seed=0), FlowSpec(
+                passes=[("extract", {}), ("map", {}), ("size", {})]))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTrace:
@@ -160,10 +250,8 @@ class TestTrace:
 
 class TestSizeCap:
     def test_skip_is_recorded(self):
-        res = low_power_flow(ripple_carry_adder(2), num_vectors=128,
-                             dontcare_size_cap=0,
-                             use_extraction=False, use_mapping=False,
-                             use_sizing=False)
+        res = run_flow(ripple_carry_adder(2), FlowSpec(
+            passes=[("dontcare", {"size_cap": 0})], num_vectors=128))
         assert [s.name for s in res.stages] == ["initial", "dontcare"]
         stage = res.stages[1]
         assert stage.outcome == SKIPPED
@@ -174,16 +262,13 @@ class TestSizeCap:
         assert rec.outcome == SKIPPED and rec.reason == "size-cap"
 
     def test_cap_is_a_parameter(self):
-        res = low_power_flow(ripple_carry_adder(2), num_vectors=128,
-                             dontcare_size_cap=None,
-                             use_extraction=False, use_mapping=False,
-                             use_sizing=False)
+        res = run_flow(ripple_carry_adder(2), FlowSpec(
+            passes=[("dontcare", {"size_cap": None})], num_vectors=128))
         assert res.stages[1].outcome == ADOPTED
 
     def test_default_flag_behaviour_unchanged(self):
-        res = low_power_flow(ripple_carry_adder(2), num_vectors=128,
-                             use_dontcares=False, use_extraction=False,
-                             use_mapping=False, use_sizing=False)
+        res = run_flow(ripple_carry_adder(2),
+                       FlowSpec(passes=[], num_vectors=128))
         assert [s.name for s in res.stages] == ["initial"]
 
 
@@ -197,9 +282,8 @@ class TestVerifyScaling:
         assert ctx.verify_vectors == 256
 
     def test_trace_records_verify_strength(self):
-        res = low_power_flow(ripple_carry_adder(2), num_vectors=2048,
-                             use_dontcares=False, use_extraction=False,
-                             use_sizing=False)
+        res = run_flow(ripple_carry_adder(2), FlowSpec(
+            passes=[("map", {})], num_vectors=2048))
         assert res.trace.records[0].verify_vectors == 512
 
 
@@ -223,6 +307,16 @@ class TestFlowSpec:
                     {"passes": [{"pass": "map", "params": 3}]}, []):
             with pytest.raises(ValueError):
                 FlowSpec.from_dict(bad)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="'vectors'"):
+            FlowSpec.from_dict({"vectors": 64, "passes": ["extract"]})
+
+    def test_repo_example_spec_loads(self):
+        path = Path(__file__).resolve().parents[1] / "examples" / \
+            "flow_spec.json"
+        spec = load_flow_spec(str(path))
+        assert FlowSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_pass_name(self):
         with pytest.raises(ValueError, match="unknown pass"):
@@ -356,6 +450,12 @@ class TestCli:
         assert main(["flow", comb_blif, "--spec",
                      str(unknown)]) == 2
         assert "unknown pass" in capsys.readouterr().err
+        typo = tmp_path / "typo.json"
+        typo.write_text(json.dumps({"vectors": 64,
+                                    "passes": ["extract"]}))
+        assert main(["flow", comb_blif, "--spec", str(typo)]) == 2
+        assert "unknown flow spec key 'vectors'" in \
+            capsys.readouterr().err
 
     def test_balance_selective_and_cap(self, tmp_path, capsys):
         from repro.logic.generators import parity_tree

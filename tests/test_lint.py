@@ -490,13 +490,13 @@ class TestFlowIntegration:
         ctx = PassContext(original=net, num_vectors=256, lint=True)
         bad = Pass(name="corruptor", apply=_break_invariant,
                    verify=False)
-        final, trace, _ = run_network_passes(net, [bad], ctx)
-        rec = trace.records[0]
+        res = run_network_passes(net, [bad], ctx)
+        rec = res.trace.records[0]
         assert rec.outcome == "rolled_back" and rec.reason == "lint"
         assert rec.lint_errors == 1
         assert rec.lint[0]["rule"] == "malformed-delay"
         # the corruption died with the trial copy
-        assert "delay" not in final.nodes["g"].attrs
+        assert "delay" not in res.final.nodes["g"].attrs
 
     def test_lint_break_strict_raises(self):
         net = small_comb()
