@@ -26,7 +26,7 @@ last-arriving input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
+from math import prod
 from typing import List, Optional, Sequence
 
 
@@ -102,56 +102,28 @@ class SeriesStack:
             prev = states
         return energy
 
-    def expected_energy(self, probs: Sequence[float],
-                        iterations: int = 200) -> float:
+    def expected_energy(self, probs: Sequence[float]) -> float:
         """Exact expected charging energy per cycle in steady state.
 
         Inputs are spatially and temporally independent with
-        ``probs[i] = P(input i = 1)``.  Because floating internal nodes
-        retain state, the stack is a Markov chain over node-state
-        vectors; the stationary distribution is found by power
-        iteration (state spaces are tiny for realistic stack widths).
+        ``probs[i] = P(input i = 1)``, so every node is its own
+        two-state chain.  The output is low iff all positions conduct
+        (probability A), so it charges with probability A·(1−A).
+        Internal node *i* is pulled down with probability a (positions
+        i..n−1 conduct) and charged with probability b (positions
+        0..i−1 conduct, the rest do not); otherwise it floats.  Its
+        stationary charge rate is a·b/(a+b), and 0 when it never moves.
         """
-        n = self.n
-        caps = self._node_caps()
-        vdd2 = self.model.vdd ** 2
-
-        def vec_prob(v: int) -> float:
-            p = 1.0
-            for i in range(n):
-                p *= probs[i] if (v >> i) & 1 else 1.0 - probs[i]
-            return p
-
-        input_probs = [(v, vec_prob(v)) for v in range(1 << n)
-                       if vec_prob(v) > 0.0]
-        bits = lambda v: [(v >> i) & 1 for i in range(n)]
-
-        # Stationary distribution over node-state tuples.
-        start = tuple(self.node_states(bits(input_probs[0][0])))
-        dist = {start: 1.0}
-        for _ in range(iterations):
-            nxt: dict = {}
-            for state, p_s in dist.items():
-                for v, p_v in input_probs:
-                    s1 = tuple(self.node_states(bits(v),
-                                                previous=list(state)))
-                    nxt[s1] = nxt.get(s1, 0.0) + p_s * p_v
-            delta = sum(abs(nxt.get(s, 0.0) - dist.get(s, 0.0))
-                        for s in set(nxt) | set(dist))
-            dist = nxt
-            if delta < 1e-12:
-                break
-
-        energy = 0.0
-        for state, p_s in dist.items():
-            for v, p_v in input_probs:
-                s1 = self.node_states(bits(v), previous=list(state))
-                e = 0.0
-                for c, before, after in zip(caps, state, s1):
-                    if after > before:
-                        e += c * (after - before) * vdd2
-                energy += p_s * p_v * e
-        return energy
+        on = [probs[k] for k in self.order]
+        m = self.model
+        every = prod(on)
+        energy = m.c_output * every * (1.0 - every)
+        for i in range(1, self.n):
+            a = prod(on[i:])
+            b = prod(on[:i]) * (1.0 - a)
+            if a + b > 0.0:
+                energy += m.c_internal * a * b / (a + b)
+        return energy * m.vdd ** 2
 
     # -- delay ----------------------------------------------------------------
 

@@ -65,19 +65,30 @@ def node_cover(node: Node) -> Cover:
     raise ValueError(f"node {node.name!r} has no cover (kind={node.kind})")
 
 
+def _sop_node(node: Node) -> Node:
+    new = Node(node.name, "sop", fanins=list(node.fanins),
+               cover=gate_cover(node.gtype, len(node.fanins)))
+    new.attrs = dict(node.attrs)
+    return new
+
+
 def to_sop_network(net: Network) -> Network:
     """Copy of ``net`` with every internal node expressed as an SOP node."""
     out = net.copy()
-    for name in list(out.nodes):
-        node = out.nodes[name]
-        if node.kind != "gate":
-            continue
-        cover = gate_cover(node.gtype, len(node.fanins))
-        new = Node(name, "sop", fanins=list(node.fanins), cover=cover)
-        new.attrs = dict(node.attrs)
-        out.nodes[name] = new
+    for name, node in list(out.nodes.items()):
+        if node.kind == "gate":
+            out.nodes[name] = _sop_node(node)
     out._invalidate()
     return out
+
+
+def gates_to_sop(net: Network) -> None:
+    """In place: every gate with fanins becomes an SOP node (constant
+    gates stay gates), so passes can install new covers."""
+    for name, node in list(net.nodes.items()):
+        if node.kind == "gate" and node.fanins:
+            net.nodes[name] = _sop_node(node)
+    net._invalidate()
 
 
 def decompose_to_primitives(net: Network, max_fanin: int = 2,

@@ -2,12 +2,14 @@
 
 Each gate carries a size factor (``node.attrs["size"]``).  Upsizing a
 gate speeds it up (its drive resistance falls) but raises the load it
-presents to its fanins and the energy it switches.  The optimizer starts
-from a sizing that meets the delay target and walks downhill in power:
-it repeatedly downsizes the gate with positive slack whose shrink saves
-the most switched capacitance while keeping the circuit at or under the
-delay constraint — the "reduce sizes until slack becomes zero" loop the
-paper describes.
+presents to its fanins and the energy it switches.  Loads and switched
+capacitances come from :mod:`repro.power.model`, so a mapped gate is
+priced by its cell data exactly as the power report prices it.  The
+optimizer starts from a sizing that meets the delay target and walks
+downhill in power: it repeatedly downsizes the gate with positive slack
+whose shrink saves the most switched capacitance while keeping the
+circuit at or under the delay constraint — the "reduce sizes until
+slack becomes zero" loop the paper describes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
-from repro.power.model import PowerParameters
+from repro.power.model import (PowerParameters, load_capacitance,
+                               node_capacitance)
 
 
 #: Default delay-model constants for unmapped gates.
@@ -24,41 +27,12 @@ INTRINSIC_DELAY = 0.5
 DRIVE_PER_LOAD = 0.1
 
 
-def _load_cap(net: Network, name: str, sizes: Dict[str, float],
-              params: PowerParameters) -> float:
-    """External load capacitance seen by a node (pin caps scale with the
-    reader's size).  Readers come from the network's load table, in
-    node order, so the float sum is the same however often it is
-    recomputed."""
-    entry = net.load(name)
-    load = 0.0
-    for reader, times in entry.readers:
-        load += params.pin_cap_units * sizes.get(reader, 1.0) * times
-    if name in net.outputs:
-        load += params.output_load_units
-    for _ in range(entry.latches):
-        load += params.pin_cap_units
-    return load
-
-
 def _gate_delay(net: Network, name: str, sizes: Dict[str, float],
                 params: PowerParameters) -> float:
-    node = net.nodes[name]
-    if node.is_source():
+    if net.nodes[name].is_source():
         return 0.0
-    size = sizes.get(name, 1.0)
-    load = _load_cap(net, name, sizes, params)
-    return INTRINSIC_DELAY + DRIVE_PER_LOAD * load / size
-
-
-def _switched_term(net: Network, name: str, transistors: int,
-                   sizes: Dict[str, float], activity: Dict[str, float],
-                   params: PowerParameters) -> float:
-    """One node's activity-weighted capacitance."""
-    self_cap = params.self_cap_per_transistor * transistors * \
-        sizes.get(name, 1.0)
-    cap = self_cap + _load_cap(net, name, sizes, params)
-    return cap * activity.get(name, 0.0)
+    load = load_capacitance(net, name, params, sizes)
+    return INTRINSIC_DELAY + DRIVE_PER_LOAD * load / sizes.get(name, 1.0)
 
 
 class _Timing:
@@ -180,9 +154,9 @@ def switched_capacitance(net: Network, sizes: Dict[str, float],
                          params: PowerParameters) -> float:
     """Σ activity·C with size-scaled capacitances (the power objective)."""
     total = 0.0
-    for name, node in net.nodes.items():
-        total += _switched_term(net, name, node.num_transistors(), sizes,
-                                activity, params)
+    for name in net.nodes:
+        total += node_capacitance(net, name, params, sizes) * \
+            activity.get(name, 0.0)
     return total
 
 
@@ -205,14 +179,11 @@ class SizingResult:
         return 1.0 - self.power_after / self.power_before
 
 
-def size_for_power(net: Network,
-                   activity: Optional[Dict[str, float]] = None,
+def size_for_power(net: Network, activity: Dict[str, float],
                    delay_target: Optional[float] = None,
                    allowed_sizes: Sequence[float] = (1.0, 2.0, 4.0),
                    params: Optional[PowerParameters] = None,
-                   apply: bool = True,
-                   num_vectors: int = 512,
-                   seed: int = 0) -> SizingResult:
+                   apply: bool = True) -> SizingResult:
     """Greedy slack-recycling downsizer.
 
     Starts with every gate at the largest allowed size (the
@@ -221,18 +192,10 @@ def size_for_power(net: Network,
     ``delay_target`` (default: the all-max-size delay — i.e. zero
     nominal slack, matching the paper's "given a delay constraint").
     When ``apply`` is set the final sizes are written to node attrs.
-
-    ``activity=None`` estimates switching activity internally with one
-    compiled Monte-Carlo simulation (``num_vectors``/``seed``); sizing
-    moves never change any node's logic function, so a single
-    simulation serves the whole downhill walk.
+    Sizing never changes a node's logic function, so one ``activity``
+    map serves the whole downhill walk.
     """
     params = params or PowerParameters()
-    if activity is None:
-        from repro.power.activity import activity_from_simulation
-
-        activity, _probs = activity_from_simulation(net, num_vectors,
-                                                    seed)
     ordered = sorted(allowed_sizes)
     sizes = {name: float(ordered[-1])
              for name, node in net.nodes.items() if not node.is_source()}
@@ -248,8 +211,6 @@ def size_for_power(net: Network,
     # match full recomputation (tests/test_load_model.py keeps
     # that reference implementation).
     timing = _Timing(net, params)
-    transistors = {name: node.num_transistors()
-                   for name, node in net.nodes.items()}
     delay = timing.delays(sizes)
     arr = timing.arrivals(delay)
     moves = 0
@@ -270,10 +231,9 @@ def size_for_power(net: Network,
             if timing.critical(trial_arr) <= target:
                 delta = 0.0
                 for x in dict.fromkeys([name] + net.nodes[name].fanins):
-                    delta += _switched_term(net, x, transistors[x], trial,
-                                            activity, params) - \
-                        _switched_term(net, x, transistors[x], sizes,
-                                       activity, params)
+                    act = activity.get(x, 0.0)
+                    delta += node_capacitance(net, x, params, trial) * \
+                        act - node_capacitance(net, x, params, sizes) * act
                 if delta < 0.0:
                     sizes = trial
                     delay.update(trial_delay)

@@ -20,11 +20,12 @@ from repro.bdd.circuit import (bdd_to_cover, network_bdds, node_function,
                                structural_order)
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
+from repro.logic.transform import gates_to_sop
 from repro.power.activity import (SimulationCache,
                                   activity_from_probability,
                                   activity_from_simulation,
                                   signal_probability_propagation)
-from repro.power.model import node_capacitance
+from repro.power.model import load_capacitance, node_capacitance
 
 
 def _sources(net: Network) -> List[str]:
@@ -157,12 +158,13 @@ def _node_cost(cover: Cover, fanin_probs: List[float],
     return activity * (self_cap + load_cap) + 0.05 * cover.num_literals()
 
 
+#: Nodes with more fanins than this keep their cover.
+MAX_FANINS = 10
+
+
 def dontcare_power_optimization(net: Network,
                                 input_probs: Optional[Dict[str, float]]
                                 = None,
-                                use_observability: bool = True,
-                                max_fanins: int = 10,
-                                estimator: str = "simulation",
                                 num_vectors: int = 512,
                                 seed: int = 0) -> DontCareResult:
     """In-place don't-care re-minimization of every eligible node.
@@ -170,44 +172,23 @@ def dontcare_power_optimization(net: Network,
     Nodes are visited in topological order; candidate covers are scored
     with the fast probability-propagation model, but each rewrite is
     accepted only if the *global* switched-capacitance estimate improves
-    (the transitive-fanout awareness of [19]).  ``estimator`` selects
-    that global check: ``"simulation"`` (Monte-Carlo, reconvergence-
-    aware, the default) or ``"propagation"`` (faster, optimistic).
+    (the transitive-fanout awareness of [19]).  That global check is a
+    reconvergence-aware Monte-Carlo estimate (``num_vectors``/``seed``).
     """
-    if estimator not in ("simulation", "propagation"):
-        raise ValueError("estimator must be 'simulation' or "
-                         "'propagation'")
-    # Work on the SOP view so the new covers can be installed in place.
-    for name in list(net.nodes):
-        node = net.nodes[name]
-        if node.kind == "gate" and node.fanins:
-            from repro.logic.transform import gate_cover
-
-            cover = gate_cover(node.gtype, len(node.fanins))
-            new = Node(name, "sop", fanins=list(node.fanins), cover=cover)
-            new.attrs = dict(node.attrs)
-            net.nodes[name] = new
-    net._invalidate()
-
+    gates_to_sop(net)   # so the new covers can be installed in place
     probs = signal_probability_propagation(net, input_probs)
 
     # Monte-Carlo state shared across the pass: the global cost check
     # after each candidate rewrite re-simulates only the rewritten
     # node's transitive fanout cone (repro.sim.compiled) instead of the
     # whole network.
-    sim_cache = SimulationCache() if estimator == "simulation" else None
+    sim_cache = SimulationCache()
 
-    def total_cost(dirty=None,
-                   cache: Optional[SimulationCache] = None
+    def total_cost(dirty=None, cache: Optional[SimulationCache] = None
                    ) -> Tuple[float, int]:
-        if estimator == "simulation":
-            act, _p = activity_from_simulation(
-                net, num_vectors, seed, input_probs,
-                reuse=cache if cache is not None else sim_cache,
-                dirty=dirty)
-        else:
-            p = signal_probability_propagation(net, input_probs)
-            act = {n: activity_from_probability(p[n]) for n in p}
+        act, _p = activity_from_simulation(
+            net, num_vectors, seed, input_probs,
+            reuse=cache if cache is not None else sim_cache, dirty=dirty)
         cap = 0.0
         lits = 0
         for name, node in net.nodes.items():
@@ -224,29 +205,25 @@ def dontcare_power_optimization(net: Network,
         node = net.nodes[name]
         if node.is_source() or node.kind != "sop" or not node.fanins:
             continue
-        if len(node.fanins) > max_fanins:
+        if len(node.fanins) > MAX_FANINS:
             continue
         dc = controllability_dont_cares(net, name, funcs)
-        if use_observability:
-            odc_global = observability_dont_cares(net, name, funcs)
-            if not odc_global.is_false:
-                aux = [f"__odcimg_{name}_{i}"
-                       for i in range(len(node.fanins))]
-                relation = _fanin_relation(
-                    odc_global.bdd, aux, [funcs[fi] for fi in node.fanins])
-                sources = _sources(net)
-                img = relation.and_exists(odc_global, sources)
-                # Fanin combos reachable *only* under the ODC condition.
-                reach_all = relation.exists(sources)
-                non_odc = relation.and_exists(~odc_global, sources)
-                odc_cover = bdd_to_cover(reach_all & img & ~non_odc, aux)
-                dc = dc.union(odc_cover)
+        odc_global = observability_dont_cares(net, name, funcs)
+        if not odc_global.is_false:
+            aux = [f"__odcimg_{name}_{i}" for i in range(len(node.fanins))]
+            relation = _fanin_relation(
+                odc_global.bdd, aux, [funcs[fi] for fi in node.fanins])
+            sources = _sources(net)
+            img = relation.and_exists(odc_global, sources)
+            # Fanin combos reachable *only* under the ODC condition.
+            reach_all = relation.exists(sources)
+            non_odc = relation.and_exists(~odc_global, sources)
+            dc = dc.union(bdd_to_cover(reach_all & img & ~non_odc, aux))
         if dc.is_empty():
             continue
         on = node.cover
         fanin_probs = [probs[fi] for fi in node.fanins]
-        self_cap = 0.5 * (2 * on.num_literals() + 2)
-        load = node_capacitance(net, name) - self_cap
+        load = load_capacitance(net, name)
         candidates = [on,
                       on.minimize(dc),
                       on.union(dc).minimize()]
@@ -260,11 +237,10 @@ def dontcare_power_optimization(net: Network,
             # costs no resynchronization.
             before_cap, _lits = total_cost(dirty=())
             node.cover = best
-            trial = sim_cache.copy() if sim_cache is not None else None
+            trial = sim_cache.copy()
             after_cap, _lits = total_cost(dirty=(name,), cache=trial)
             if after_cap < before_cap:
-                if sim_cache is not None:
-                    sim_cache.adopt(trial)
+                sim_cache.adopt(trial)
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
                 funcs = _structural_bdds(net)

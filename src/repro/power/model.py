@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.logic.netlist import Network
+from repro.logic.netlist import Network, Node
 
 
 @dataclass(frozen=True)
@@ -50,39 +50,58 @@ class PowerParameters:
             leak_per_transistor=self.leak_per_transistor)
 
 
-def node_capacitance(net: Network, name: str,
-                     params: Optional[PowerParameters] = None) -> float:
-    """Capacitance (in cap units) switched when node ``name`` toggles.
+def _size(node: Node, sizes: Optional[Dict[str, float]]) -> float:
+    if sizes is None:
+        return float(node.attrs.get("size", 1.0))
+    return sizes.get(node.name, 1.0)
 
-    Includes the node's own drain/wire capacitance and the input-pin
-    capacitance of everything it drives.  A node's ``attrs["size"]``
-    scales its pin and self capacitance (transistor sizing); a mapped
-    node's ``attrs["cell"]`` supplies exact per-cell values.
+
+def load_capacitance(net: Network, name: str,
+                     params: Optional[PowerParameters] = None,
+                     sizes: Optional[Dict[str, float]] = None) -> float:
+    """External load (in cap units) that node ``name`` drives.
+
+    Each reader pin counts its cell's ``input_cap`` (``pin_cap_units``
+    when unmapped) times the reader's size; a primary output adds
+    ``output_load_units`` and each reading latch one pin.  Sizes come
+    from ``attrs["size"]``, or from ``sizes`` (a whole trial sizing
+    state, 1.0 where it has no entry) when given.
+    """
+    params = params or PowerParameters()
+    nodes = net.nodes
+    entry = net.load(name)
+    load = 0.0
+    for reader_name, times in entry.readers:
+        reader = nodes[reader_name]
+        rcell = reader.attrs.get("cell")
+        pin = params.pin_cap_units if rcell is None else rcell.input_cap
+        load += pin * _size(reader, sizes) * times
+    if name in net.outputs:
+        load += params.output_load_units
+    for _ in range(entry.latches):
+        load += params.pin_cap_units
+    return load
+
+
+def node_capacitance(net: Network, name: str,
+                     params: Optional[PowerParameters] = None,
+                     sizes: Optional[Dict[str, float]] = None) -> float:
+    """Capacitance (in cap units) switched when node ``name`` toggles:
+    its own drain/wire capacitance plus :func:`load_capacitance`.
+
+    The size scales the own capacitance; a mapped node's
+    ``attrs["cell"]`` supplies it as ``output_cap``.
     """
     params = params or PowerParameters()
     node = net.nodes[name]
     cell = node.attrs.get("cell")
-    size = float(node.attrs.get("size", 1.0))
+    size = _size(node, sizes)
     if cell is not None:
         self_cap = cell.output_cap * size
     else:
         self_cap = params.self_cap_per_transistor * \
             node.num_transistors() * size
-    entry = net.load(name)
-    load = 0.0
-    for reader_name, times in entry.readers:
-        reader = net.nodes[reader_name]
-        rcell = reader.attrs.get("cell")
-        rsize = float(reader.attrs.get("size", 1.0))
-        if rcell is not None:
-            load += rcell.input_cap * rsize * times
-        else:
-            load += params.pin_cap_units * rsize * times
-    if name in net.outputs:
-        load += params.output_load_units
-    for _ in range(entry.latches):
-        load += params.pin_cap_units
-    return self_cap + load
+    return self_cap + load_capacitance(net, name, params, sizes)
 
 
 @dataclass

@@ -287,22 +287,18 @@ class TestDontCaresAgainstSimulation:
 # -- whole pass == reference ------------------------------------------------
 
 class TestDontCarePassMatchesReference:
-    @pytest.mark.parametrize("estimator", ["simulation", "propagation"])
     @pytest.mark.parametrize("label, make", FIXED)
-    def test_fixed(self, label, make, estimator):
-        assert_pass_matches(make(), estimator=estimator)
+    def test_fixed(self, label, make):
+        assert_pass_matches(make())
 
     @SETTINGS
-    @given(estimator=st.sampled_from(["simulation", "propagation"]),
-           **circuit_args)
-    def test_random_logic(self, seed, num_inputs, num_gates, estimator):
+    @given(**circuit_args)
+    def test_random_logic(self, seed, num_inputs, num_gates):
         assert_pass_matches(gen.random_logic(num_inputs, num_gates,
-                                             seed=seed),
-                            estimator=estimator, seed=seed % 7)
+                                             seed=seed), seed=seed % 7)
 
     @SETTINGS
     @given(num_latches=st.integers(1, 3), **circuit_args)
     def test_latched(self, seed, num_inputs, num_gates, num_latches):
         assert_pass_matches(latched_circuit(seed, num_inputs, num_gates,
-                                            num_latches),
-                            estimator="propagation")
+                                            num_latches))

@@ -1,9 +1,60 @@
 """Unit tests for the technology library and switch-level stack model."""
 
+import random
+
 import pytest
 
 from repro.library.cells import Library, generic_library
 from repro.library.transistors import SeriesStack, StackEnergyModel
+
+
+def power_iteration_energy(stack, probs, iterations=2000):
+    """Oracle for ``expected_energy``: the stack as one Markov chain over
+    node-state vectors, its stationary distribution found by power
+    iteration from the state the first input vector leaves."""
+    n = stack.n
+    caps = [stack.model.c_output] + [stack.model.c_internal] * (n - 1)
+    vdd2 = stack.model.vdd ** 2
+
+    def vec_prob(v):
+        p = 1.0
+        for i in range(n):
+            p *= probs[i] if (v >> i) & 1 else 1.0 - probs[i]
+        return p
+
+    def bits(v):
+        return [(v >> i) & 1 for i in range(n)]
+
+    inputs = [(v, vec_prob(v)) for v in range(1 << n) if vec_prob(v) > 0]
+    step = {}
+
+    def move(state, v):
+        key = (state, v)
+        if key not in step:
+            step[key] = tuple(stack.node_states(bits(v), list(state)))
+        return step[key]
+
+    dist = {tuple(stack.node_states(bits(inputs[0][0]))): 1.0}
+    for _ in range(iterations):
+        nxt = {}
+        for state, p_s in dist.items():
+            for v, p_v in inputs:
+                s1 = move(state, v)
+                nxt[s1] = nxt.get(s1, 0.0) + p_s * p_v
+        delta = sum(abs(nxt.get(s, 0.0) - dist.get(s, 0.0))
+                    for s in set(nxt) | set(dist))
+        dist = nxt
+        if delta < 1e-15:
+            break
+    energy = 0.0
+    for state, p_s in dist.items():
+        for v, p_v in inputs:
+            s1 = move(state, v)
+            e = sum(c * (after - before) * vdd2
+                    for c, before, after in zip(caps, state, s1)
+                    if after > before)
+            energy += p_s * p_v * e
+    return energy
 
 
 class TestCells:
@@ -80,6 +131,29 @@ class TestSeriesStack:
         sim = stack.energy_of_sequence(vectors) / (len(vectors) - 1)
         # The analytic value uses a 2-step window; allow modest slack.
         assert sim == pytest.approx(analytic, rel=0.15)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_expected_energy_matches_power_iteration(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        probs = [rng.uniform(0.2, 0.95) for _ in range(n)]
+        order = rng.sample(range(n), n)
+        model = StackEnergyModel(c_output=rng.uniform(1, 8),
+                                 c_internal=rng.uniform(0.5, 2),
+                                 vdd=rng.uniform(0.8, 3.3))
+        stack = SeriesStack(n, order, model)
+        assert stack.expected_energy(probs) == pytest.approx(
+            power_iteration_energy(stack, probs), rel=1e-9)
+
+    def test_expected_energy_edge_probabilities(self):
+        """Inputs stuck at 0 or 1: nodes that never move switch nothing,
+        and a stuck-on stack reduces to its free inputs."""
+        stack = SeriesStack(3)
+        assert stack.expected_energy([0.0, 0.0, 0.0]) == 0.0
+        assert stack.expected_energy([1.0, 1.0, 1.0]) == 0.0
+        for probs in ([1.0, 0.5, 0.3], [0.4, 0.0, 0.7], [0.6, 1.0, 0.0]):
+            assert stack.expected_energy(probs) == pytest.approx(
+                power_iteration_energy(stack, probs), rel=1e-9, abs=1e-12)
 
     def test_ordering_changes_energy(self):
         probs = [0.95, 0.5, 0.05]

@@ -6,7 +6,9 @@ table existed: every load is a scan over all nodes, every candidate
 move re-runs full static timing, and a move is accepted on two full
 switched-capacitance sums.  The incremental engine must reproduce it
 exactly (``==`` on floats), so every sum here keeps the same order:
-readers in node order, ``pin * size * times`` per reader.
+readers in node order, ``pin * size * times`` per reader.  A mapped
+node is priced by its cell: ``input_cap`` per pin it presents,
+``output_cap`` as its own capacitance.
 """
 
 import random
@@ -23,8 +25,8 @@ from repro.opt.circuit.sizing import (DRIVE_PER_LOAD, INTRINSIC_DELAY,
                                       size_for_power, slacks,
                                       switched_capacitance)
 from repro.opt.logic.mapping import tech_map
-from repro.power.model import PowerParameters, node_capacitance, \
-    power_report
+from repro.power.model import PowerParameters, load_capacitance, \
+    node_capacitance, power_report
 
 SETTINGS = settings(max_examples=30, deadline=None)
 PARAMS = PowerParameters()
@@ -37,7 +39,9 @@ def ref_load_cap(net, name, sizes, params):
     for node in net.nodes.values():
         times = node.fanins.count(name)
         if times:
-            load += params.pin_cap_units * sizes.get(node.name, 1.0) * times
+            cell = node.attrs.get("cell")
+            pin = params.pin_cap_units if cell is None else cell.input_cap
+            load += pin * sizes.get(node.name, 1.0) * times
     if name in net.outputs:
         load += params.output_load_units
     for latch in net.latches:
@@ -87,11 +91,17 @@ def ref_slacks(net, sizes, target, params):
     return {name: req[name] - arr[name] for name in net.nodes}
 
 
+def ref_own_cap(node, size, params):
+    cell = node.attrs.get("cell")
+    if cell is not None:
+        return cell.output_cap * size
+    return params.self_cap_per_transistor * node.num_transistors() * size
+
+
 def ref_switched_capacitance(net, sizes, activity, params):
     total = 0.0
     for name, node in net.nodes.items():
-        self_cap = params.self_cap_per_transistor * \
-            node.num_transistors() * sizes.get(name, 1.0)
+        self_cap = ref_own_cap(node, sizes.get(name, 1.0), params)
         cap = self_cap + ref_load_cap(net, name, sizes, params)
         total += cap * activity.get(name, 0.0)
     return total
@@ -141,33 +151,16 @@ def ref_size_for_power(net, activity, delay_target=None,
             "delay_after": ref_critical_path_delay(net, sizes, params)}
 
 
+def attr_sizes(net):
+    return {n: float(node.attrs.get("size", 1.0))
+            for n, node in net.nodes.items()}
+
+
 def ref_node_capacitance(net, name, params=PARAMS):
     """``node_capacitance`` by scanning every node for readers."""
-    node = net.nodes[name]
-    cell = node.attrs.get("cell")
-    size = float(node.attrs.get("size", 1.0))
-    if cell is not None:
-        self_cap = cell.output_cap * size
-    else:
-        self_cap = params.self_cap_per_transistor * \
-            node.num_transistors() * size
-    load = 0.0
-    for reader in net.nodes.values():
-        times = reader.fanins.count(name)
-        if not times:
-            continue
-        rcell = reader.attrs.get("cell")
-        rsize = float(reader.attrs.get("size", 1.0))
-        if rcell is not None:
-            load += rcell.input_cap * rsize * times
-        else:
-            load += params.pin_cap_units * rsize * times
-    if name in net.outputs:
-        load += params.output_load_units
-    for latch in net.latches:
-        if latch.data == name or latch.enable == name:
-            load += params.pin_cap_units
-    return self_cap + load
+    sizes = attr_sizes(net)
+    return ref_own_cap(net.nodes[name], sizes[name], params) + \
+        ref_load_cap(net, name, sizes, params)
 
 
 def ref_fanout_count(net, name):
@@ -368,6 +361,41 @@ class TestNodeCapacitance:
             p_sc = PARAMS.q_sc_fraction * cap * PARAMS.vdd * PARAMS.vdd * \
                 PARAMS.frequency * activity[name]
             assert power == p_sw + p_sc
+
+
+class TestOneLoadModel:
+    """Sizing, the power report and the load model price one network
+    the same way."""
+
+    def test_mapped_sizing_prices_what_the_report_measures(self):
+        from repro.logic.generators import array_multiplier
+
+        net = tech_map(array_multiplier(3), generic_library(),
+                       objective="power").mapped
+        rng = random.Random(11)
+        for node in net.gate_nodes():
+            node.attrs["size"] = rng.choice([1.0, 2.0, 4.0])
+        activity = random_activity(net, 11)
+        expected = 0.0
+        for name in net.nodes:
+            expected += activity[name] * node_capacitance(net, name, PARAMS)
+        assert switched_capacitance(net, attr_sizes(net), activity,
+                                    PARAMS) == expected
+
+    @SETTINGS
+    @given(mapped=st.booleans(), **circuit_args)
+    def test_node_capacitance_is_own_plus_load(self, seed, num_inputs,
+                                               num_gates, mapped):
+        net = mapped_circuit(seed, num_inputs, num_gates) if mapped else \
+            build_circuit(seed, num_inputs, num_gates, seed % 3,
+                          repeat_fanins=True)
+        sizes = attr_sizes(net)
+        for name, node in net.nodes.items():
+            own = ref_own_cap(node, sizes[name], PARAMS)
+            load = load_capacitance(net, name)
+            assert load == ref_load_cap(net, name, sizes, PARAMS)
+            assert node_capacitance(net, name) == own + load
+            assert node_capacitance(net, name, PARAMS, sizes) == own + load
 
 
 # -- table invalidation and totality --------------------------------------
