@@ -3,8 +3,9 @@
 The pass manager (repro.core.passes) must (1) produce bit-identical
 traces across reruns at equal parameters, (2) roll back raising,
 equivalence-breaking and power-regressing passes while the remaining
-passes still run to a final, equivalent network, and (3) record guard
-skips (the don't-care size cap) instead of silently omitting stages.
+passes still run to a final, equivalent network, and (3) record a pass
+that skips itself (the don't-care pass over the BDD node budget)
+instead of silently omitting the stage.
 These are contracts, not tolerances — the CI compares this bench's
 metrics against the baseline at ``--tol 0``.
 
@@ -15,12 +16,12 @@ written there (the CI uploads it as a workflow artifact).
 import os
 
 from repro.bench.profiling import PHASE_OPT, phase
-from repro.core.flow import low_power_flow
-from repro.core.passes import (ADOPTED, Pass, PassContext,
+from repro.core.flow import low_power_flow, run_flow
+from repro.core.passes import (ADOPTED, FlowSpec, Pass, PassContext,
                                ROLLED_BACK, SKIPPED, make_pass,
                                run_network_passes)
 from repro.core.report import format_table
-from repro.logic.generators import ripple_carry_adder
+from repro.logic.generators import array_multiplier, ripple_carry_adder
 from repro.logic.transform import to_sop_network
 from repro.sim.functional import verify_equivalence
 
@@ -56,13 +57,14 @@ def engine_exercise(vectors=256, seed=0):
         res2 = low_power_flow(net, num_vectors=vectors, seed=seed)
     deterministic = res1.trace.fingerprint() == res2.trace.fingerprint()
 
-    # 2. Guard skip: a zero size cap must record the don't-care stage
-    # as skipped (reason size-cap), not drop it from the history.
+    # 2. Skip: an 8x8 multiplier has no BDDs within the node budget,
+    # so the don't-care stage must be recorded as skipped (reason
+    # bdd-budget), not dropped from the history.
     with phase(PHASE_OPT):
-        res_cap = low_power_flow(net, num_vectors=vectors, seed=seed,
-                                 dontcare_size_cap=0)
-    skips = [s for s in res_cap.stages if s.outcome == SKIPPED]
-    skip_recorded = len(skips) == 1 and skips[0].reason == "size-cap"
+        res_skip = run_flow(array_multiplier(8), FlowSpec(
+            passes=[("dontcare", {})], num_vectors=vectors, seed=seed))
+    skips = [s for s in res_skip.stages if s.outcome == SKIPPED]
+    skip_recorded = len(skips) == 1 and skips[0].reason == "bdd-budget"
 
     # 3. Hostile flow: three failing passes between two good ones.
     work = to_sop_network(net)

@@ -1,5 +1,5 @@
 """Hash-consed reduced ordered BDD package."""
 
-from repro.bdd.bdd import BDD, BDDFunction
+from repro.bdd.bdd import BDD, BDDBudgetExceeded, BDDFunction
 
-__all__ = ["BDD", "BDDFunction"]
+__all__ = ["BDD", "BDDBudgetExceeded", "BDDFunction"]

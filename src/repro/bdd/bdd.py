@@ -10,12 +10,23 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+#: Most nodes (terminals included) any manager may hold: a BDD's size,
+#: not its circuit's gate count, is what its operations cost.
+NODE_BUDGET = 1 << 19
+
+
+class BDDBudgetExceeded(RuntimeError):
+    """A manager would grow past :data:`NODE_BUDGET` nodes; raised
+    before the node is created, so the manager stays usable."""
+
 
 class BDD:
     """BDD manager with a fixed variable order.
 
     Node 0 is constant FALSE, node 1 constant TRUE.  Internal nodes are
-    triples ``(level, lo, hi)`` hash-consed in a unique table.
+    triples ``(level, lo, hi)`` hash-consed in a unique table, which
+    raises :class:`BDDBudgetExceeded` rather than grow past
+    :data:`NODE_BUDGET` nodes.
     """
 
     FALSE = 0
@@ -70,6 +81,8 @@ class BDD:
         node = self._unique.get(key)
         if node is None:
             node = len(self._lo)
+            if node >= NODE_BUDGET:
+                raise BDDBudgetExceeded(f"BDD exceeds {NODE_BUDGET} nodes")
             self._level.append(level)
             self._lo.append(lo)
             self._hi.append(hi)
@@ -106,6 +119,9 @@ class BDD:
             result = self._unique.get(ukey)
             if result is None:
                 result = len(los)
+                if result >= NODE_BUDGET:
+                    raise BDDBudgetExceeded(
+                        f"BDD exceeds {NODE_BUDGET} nodes")
                 level.append(top)
                 los.append(lo)
                 his.append(hi)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.bdd.bdd import BDD, BDDFunction
 from repro.logic.gates import GateType
@@ -89,14 +89,13 @@ def node_function(manager: BDD, node: Node,
     return acc
 
 
-def network_bdds(net: Network, bdd: Optional[BDD] = None,
-                 nodes: Optional[Iterable[str]] = None
+def network_bdds(net: Network, bdd: Optional[BDD] = None
                  ) -> Dict[str, BDDFunction]:
     """Global BDD of every node over primary inputs and latch outputs.
 
     Latch outputs are treated as free variables (combinational view).
-    Pass ``nodes`` to limit which results are retained (all are computed —
-    intermediate functions are needed anyway).
+    Raises :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the manager
+    would outgrow :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
     """
     manager = bdd if bdd is not None else BDD()
     funcs: Dict[str, BDDFunction] = {}
@@ -107,7 +106,4 @@ def network_bdds(net: Network, bdd: Optional[BDD] = None,
         else:
             funcs[name] = node_function(
                 manager, node, [funcs[fi] for fi in node.fanins])
-    if nodes is not None:
-        wanted = set(nodes)
-        return {k: v for k, v in funcs.items() if k in wanted}
     return funcs

@@ -4,7 +4,8 @@ from repro.core.flow import (FlowResult, FlowStage, low_power_flow,
                              SequentialFlowResult, fsm_low_power_flow,
                              run_flow)
 from repro.core.passes import (ADOPTED, FlowSpec, FlowTrace, Pass,
-                               PassContext, ROLLED_BACK, SKIPPED,
+                               PassContext, PassSkipped, ROLLED_BACK,
+                               SKIPPED,
                                TraceRecord, available_passes,
                                load_flow_spec, make_pass,
                                run_network_passes)
@@ -13,6 +14,6 @@ from repro.core.report import format_table
 __all__ = ["FlowResult", "FlowStage", "low_power_flow",
            "SequentialFlowResult", "fsm_low_power_flow", "run_flow",
            "FlowSpec", "FlowTrace", "TraceRecord", "Pass",
-           "PassContext", "ADOPTED", "SKIPPED", "ROLLED_BACK",
+           "PassContext", "PassSkipped", "ADOPTED", "SKIPPED", "ROLLED_BACK",
            "available_passes", "load_flow_spec", "make_pass",
            "run_network_passes", "format_table"]

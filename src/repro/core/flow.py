@@ -32,7 +32,6 @@ def low_power_flow(net: Network,
                    num_vectors: int = 1024, seed: int = 0,
                    use_mapping: bool = True,
                    use_sizing: bool = True,
-                   dontcare_size_cap: Optional[int] = 120,
                    strict: bool = False,
                    strict_lint: bool = False) -> FlowResult:
     """Run the combinational low-power flow on (a copy of) ``net``.
@@ -44,15 +43,14 @@ def low_power_flow(net: Network,
     against the original by random simulation (``max(256, num_vectors
     // 4)`` vectors), and is rolled back — with the failure recorded in
     ``result.trace`` — when it raises or breaks equivalence.
-    ``dontcare_size_cap`` skips the (expensive) don't-care stage above
-    that many gates, recording the skip; ``None`` removes the cap.
+    The don't-care stage is skipped, and the skip recorded, when its
+    BDDs outgrow the kernel's node budget.
     ``strict=True`` re-raises stage failures instead of rolling back.
     ``strict_lint=True`` runs the structural invariant linter on every
     candidate network and rolls back stages that break an invariant
     (trace reason ``lint``).
     """
-    passes = [("dontcare", {"size_cap": dontcare_size_cap}),
-              ("extract", {})]
+    passes = [("dontcare", {}), ("extract", {})]
     if use_mapping:
         passes.append(("map", {}))
     if use_sizing:

@@ -27,8 +27,8 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 from repro.library.cells import Library
 from repro.logic.netlist import Network
@@ -86,9 +86,15 @@ class PassContext:
 #: replacement network (``None`` means "mutated in place").
 PassApply = Callable[[Network, PassContext, Dict[str, Any]],
                      Optional[Network]]
-#: ``guard(work, ctx, params)`` returns a skip reason, or ``None`` to run.
-PassGuard = Callable[[Network, PassContext, Dict[str, Any]],
-                     Optional[str]]
+
+
+class PassSkipped(Exception):
+    """Raised by a pass's ``apply`` that declines to run; the engine
+    records ``skipped`` with ``reason`` and keeps the adopted state."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
 
 
 @dataclass
@@ -103,19 +109,23 @@ class Pass:
     #: max tolerated relative power increase (``None``: no power gate;
     #: ``0.0``: reject any regression)
     max_power_regression: Optional[float] = None
-    guard: Optional[PassGuard] = None
 
 
 # -- pass registry -------------------------------------------------------
 
-_REGISTRY: Dict[str, Callable[[Dict[str, Any]], Pass]] = {}
+PassFactory = Callable[[Dict[str, Any]], Pass]
+
+#: name -> (factory, the per-pass params the factory reads)
+_REGISTRY: Dict[str, Tuple[PassFactory, FrozenSet[str]]] = {}
 
 
-def register_pass(name: str):
-    """Decorator: register ``factory(params) -> Pass`` under ``name``."""
+def register_pass(name: str, params: Sequence[str] = ()):
+    """Decorator: register ``factory(params) -> Pass`` under ``name``.
+    ``params`` names the per-pass parameters the factory reads; every
+    pass also takes the engine's ``max_power_regression``."""
 
-    def deco(factory: Callable[[Dict[str, Any]], Pass]):
-        _REGISTRY[name] = factory
+    def deco(factory: PassFactory):
+        _REGISTRY[name] = (factory, frozenset(params))
         return factory
 
     return deco
@@ -134,15 +144,25 @@ def available_passes() -> List[str]:
 
 def make_pass(name: str,
               params: Optional[Dict[str, Any]] = None) -> Pass:
-    """Instantiate a registered pass with per-pass parameters."""
+    """Instantiate a registered pass with per-pass parameters; a
+    parameter the pass does not read is a ``ValueError``."""
     _ensure_adapters()
     try:
-        factory = _REGISTRY[name]
+        factory, known = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown pass {name!r}; available: "
             f"{', '.join(sorted(_REGISTRY))}") from None
-    return factory(dict(params or {}))
+    params = dict(params or {})
+    known = known | {"max_power_regression"}
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise ValueError(
+            f"pass {name!r}: unknown params {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(known))}")
+    p = factory(params)
+    p.max_power_regression = params.get("max_power_regression")
+    return p
 
 
 # -- trace ---------------------------------------------------------------
@@ -265,7 +285,8 @@ class FlowStage:
     """Power/size snapshot of the adopted network after one pass.
 
     ``outcome`` records what the engine did: ``adopted`` (the pass's
-    result was kept), ``skipped`` (guard fired — e.g. ``size-cap``), or
+    result was kept), ``skipped`` (the pass raised :class:`PassSkipped`
+    — e.g. ``bdd-budget``), or
     ``rolled_back`` (the pass failed; the snapshot is of the unchanged
     adopted state).  The flow's first stage, ``initial``, is the input
     as the engine received it."""
@@ -379,27 +400,26 @@ def run_network_passes(net: Network, passes: Sequence[Pass],
         start = time.perf_counter()
         failure: Optional[Exception] = None
 
-        skip = p.guard(work, ctx, p.params) if p.guard else None
-        if skip is not None:
-            rec.outcome, rec.reason = SKIPPED, skip
+        try:
+            candidate, after = _trial(p, work, current, ctx, rec)
+        except PassSkipped as exc:
+            # The trial copy is dropped; the adopted state is untouched.
+            rec.outcome, rec.reason = SKIPPED, exc.reason
+        except _Rejected as exc:
+            rec.outcome, rec.reason = ROLLED_BACK, exc.reason
+            failure = FlowError(str(exc))
+        except Exception as exc:
+            rec.outcome = ROLLED_BACK
+            rec.reason = f"exception: {type(exc).__name__}: {exc}"
+            # A partial mutation died with the trial copy; the
+            # adopted state is untouched.
+            rec.power_after = rec.power_before
+            rec.gates_after = rec.gates_before
+            rec.transistors_after = rec.transistors_before
+            rec.depth_after = rec.depth_before
+            failure = exc
         else:
-            try:
-                candidate, after = _trial(p, work, current, ctx, rec)
-            except _Rejected as exc:
-                rec.outcome, rec.reason = ROLLED_BACK, exc.reason
-                failure = FlowError(str(exc))
-            except Exception as exc:
-                rec.outcome = ROLLED_BACK
-                rec.reason = f"exception: {type(exc).__name__}: {exc}"
-                # A partial mutation died with the trial copy; the
-                # adopted state is untouched.
-                rec.power_after = rec.power_before
-                rec.gates_after = rec.gates_before
-                rec.transistors_after = rec.transistors_before
-                rec.depth_after = rec.depth_before
-                failure = exc
-            else:
-                work, current = candidate, after
+            work, current = candidate, after
 
         rec.wall_s = time.perf_counter() - start
         trace.add(rec)

@@ -213,7 +213,9 @@ def collapse_to_cover(net: Network, output: str,
     Collapses the multilevel network through its BDD and re-extracts an
     SOP (optionally minimized) — the "flatten" step of two-level flows.
     Latch outputs are treated as free inputs; the cover's variable
-    order is ``sorted(net.inputs) + sorted(latch outputs)``.
+    order is ``sorted(net.inputs) + sorted(latch outputs)``.  Raises
+    :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the BDDs outgrow
+    :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
     """
     from repro.bdd.circuit import bdd_to_cover, network_bdds
 

@@ -14,9 +14,11 @@ so a flow is reproducible from its trace header.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.core.passes import Pass, PassContext, register_pass
+from repro.bdd.bdd import BDDBudgetExceeded
+from repro.core.passes import (Pass, PassContext, PassSkipped,
+                               register_pass)
 from repro.library.cells import generic_library
 from repro.logic.netlist import Network
 from repro.power.activity import activity_from_simulation
@@ -24,30 +26,21 @@ from repro.power.activity import activity_from_simulation
 
 @register_pass("dontcare")
 def _dontcare(params: Dict[str, Any]) -> Pass:
-    """Don't-care re-minimization (§II-B).  ``size_cap`` skips the pass
-    (outcome ``skipped``, reason ``size-cap``) on larger networks
-    instead of silently omitting it."""
+    """Don't-care re-minimization (§II-B).  A network whose BDDs outgrow
+    the kernel's node budget is skipped (reason ``bdd-budget``)."""
     from repro.opt.logic.dontcare import dontcare_power_optimization
-
-    size_cap = params.get("size_cap")
-
-    def guard(net: Network, ctx: PassContext,
-              p: Dict[str, Any]) -> Optional[str]:
-        if size_cap is not None and net.num_gates() > int(size_cap):
-            return "size-cap"
-        return None
 
     def apply(net: Network, ctx: PassContext,
               p: Dict[str, Any]) -> None:
-        dontcare_power_optimization(net, ctx.input_probs)
+        try:
+            dontcare_power_optimization(net, ctx.input_probs)
+        except BDDBudgetExceeded:
+            raise PassSkipped("bdd-budget") from None
 
-    return Pass(name="dontcare", apply=apply, params=params,
-                guard=guard,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="dontcare", apply=apply, params=params)
 
 
-@register_pass("extract")
+@register_pass("extract", params=("objective",))
 def _extract(params: Dict[str, Any]) -> Pass:
     """Power-aware kernel extraction (§II-C)."""
     from repro.opt.logic.kernels import extract_kernels
@@ -57,12 +50,10 @@ def _extract(params: Dict[str, Any]) -> Pass:
         extract_kernels(net, p.get("objective", "power"),
                         ctx.input_probs)
 
-    return Pass(name="extract", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="extract", apply=apply, params=params)
 
 
-@register_pass("map")
+@register_pass("map", params=("objective",))
 def _map(params: Dict[str, Any]) -> Pass:
     """Power-driven technology mapping (§II-D)."""
     from repro.opt.logic.mapping import tech_map
@@ -74,9 +65,7 @@ def _map(params: Dict[str, Any]) -> Pass:
                        seed=ctx.seed)
         return res.mapped
 
-    return Pass(name="map", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="map", apply=apply, params=params)
 
 
 @register_pass("size")
@@ -95,12 +84,11 @@ def _size(params: Dict[str, Any]) -> Pass:
         size_for_power(net, activity, delay_target=target,
                        params=ctx.params)
 
-    return Pass(name="size", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="size", apply=apply, params=params)
 
 
-@register_pass("balance")
+@register_pass("balance", params=("selective", "min_skew", "max_buffers",
+                                  "buffer_size"))
 def _balance(params: Dict[str, Any]) -> Pass:
     """Path-balancing buffer insertion (§III-A.2)."""
     from repro.opt.logic.balance import balance_paths
@@ -115,9 +103,7 @@ def _balance(params: Dict[str, Any]) -> Pass:
             else int(max_buffers),
             buffer_size=float(p.get("buffer_size", 0.25)))
 
-    return Pass(name="balance", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="balance", apply=apply, params=params)
 
 
 @register_pass("reorder")
@@ -132,9 +118,7 @@ def _reorder(params: Dict[str, Any]) -> Pass:
                                num_vectors=ctx.num_vectors,
                                seed=ctx.seed)
 
-    return Pass(name="reorder", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="reorder", apply=apply, params=params)
 
 
 @register_pass("sweep")

@@ -13,7 +13,7 @@ the one that minimizes the node's expected switching contribution
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.bdd.bdd import BDD, BDDFunction
 from repro.bdd.circuit import (bdd_to_cover, network_bdds, node_function,
@@ -21,11 +21,12 @@ from repro.bdd.circuit import (bdd_to_cover, network_bdds, node_function,
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
 from repro.logic.transform import gates_to_sop
-from repro.power.activity import (SimulationCache,
-                                  activity_from_probability,
-                                  activity_from_simulation,
-                                  signal_probability_propagation)
+from repro.power.activity import (activity_from_probability,
+                                  signal_probability_propagation,
+                                  word_statistics)
 from repro.power.model import load_capacitance, node_capacitance
+from repro.sim.compiled import get_compiled
+from repro.sim.vectors import random_words
 
 
 def _sources(net: Network) -> List[str]:
@@ -162,6 +163,24 @@ def _node_cost(cover: Cover, fanin_probs: List[float],
 MAX_FANINS = 10
 
 
+def _switched_cap(net: Network, values: Dict[str, int],
+                  num_vectors: int) -> float:
+    """Σ activity·C over the internal nodes, from simulation words."""
+    activity, _p = word_statistics(values, num_vectors)
+    # A running total, not sum(): from Python 3.12 on, sum() of floats
+    # is compensated and rounds differently.
+    cap = 0.0
+    for name, node in net.nodes.items():
+        if not node.is_source():
+            cap += activity[name] * node_capacitance(net, name)
+    return cap
+
+
+def _literals(net: Network) -> int:
+    return sum(node.cover.num_literals() for node in net.nodes.values()
+               if not node.is_source() and node.cover)
+
+
 def dontcare_power_optimization(net: Network,
                                 input_probs: Optional[Dict[str, float]]
                                 = None,
@@ -174,31 +193,21 @@ def dontcare_power_optimization(net: Network,
     accepted only if the *global* switched-capacitance estimate improves
     (the transitive-fanout awareness of [19]).  That global check is a
     reconvergence-aware Monte-Carlo estimate (``num_vectors``/``seed``).
+    Raises :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the network's
+    BDDs outgrow the kernel's node budget; ``net`` may then be partly
+    rewritten.
     """
     gates_to_sop(net)   # so the new covers can be installed in place
     probs = signal_probability_propagation(net, input_probs)
 
-    # Monte-Carlo state shared across the pass: the global cost check
-    # after each candidate rewrite re-simulates only the rewritten
-    # node's transitive fanout cone (repro.sim.compiled) instead of the
-    # whole network.
-    sim_cache = SimulationCache()
-
-    def total_cost(dirty=None, cache: Optional[SimulationCache] = None
-                   ) -> Tuple[float, int]:
-        act, _p = activity_from_simulation(
-            net, num_vectors, seed, input_probs,
-            reuse=cache if cache is not None else sim_cache, dirty=dirty)
-        cap = 0.0
-        lits = 0
-        for name, node in net.nodes.items():
-            if node.is_source():
-                continue
-            cap += act.get(name, 0.0) * node_capacitance(net, name)
-            lits += node.cover.num_literals() if node.cover else 0
-        return cap, lits
-
-    cap_before, lits_before = total_cost()
+    # The global check simulates one stimulus for the whole pass: a
+    # candidate rewrite re-simulates only the rewritten node's fanout
+    # cone, against the words and cost of the adopted network.
+    words = random_words(_sources(net), num_vectors, seed, input_probs)
+    mask = (1 << num_vectors) - 1
+    values = get_compiled(net).evaluate_words(words, mask)
+    cap = cap_before = _switched_cap(net, values, num_vectors)
+    lits_before = _literals(net)
     funcs = _structural_bdds(net)
     changed = 0
     for name in net.topo_order():
@@ -232,23 +241,20 @@ def dontcare_power_optimization(net: Network,
         if best is not on and not best.is_equivalent(on):
             # Accept only if the *global* estimate improves: a changed
             # node shifts the statistics of its whole transitive fanout
-            # (the refinement of [19]).  The trial re-simulates only
-            # that cone, on a cache snapshot so a rejected rewrite
-            # costs no resynchronization.
-            before_cap, _lits = total_cost(dirty=())
+            # (the refinement of [19]).
             node.cover = best
-            trial = sim_cache.copy()
-            after_cap, _lits = total_cost(dirty=(name,), cache=trial)
-            if after_cap < before_cap:
-                sim_cache.adopt(trial)
+            trial = {**values, **get_compiled(net).evaluate_incremental(
+                values, (name,), words, mask)}
+            trial_cap = _switched_cap(net, trial, num_vectors)
+            if trial_cap < cap:
+                values, cap = trial, trial_cap
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
                 funcs = _structural_bdds(net)
             else:
                 node.cover = on
-    cap_after, lits_after = total_cost()
     return DontCareResult(nodes_changed=changed,
                           switched_cap_before=cap_before,
-                          switched_cap_after=cap_after,
+                          switched_cap_after=cap,
                           literals_before=lits_before,
-                          literals_after=lits_after)
+                          literals_after=_literals(net))

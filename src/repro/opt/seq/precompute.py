@@ -12,6 +12,10 @@ quantification on the circuit BDDs, the method of [30]) and gates R2.
 When LE = 0 the held X2 values are stale but harmless — every output is
 determined by the fresh X1 — and all switching in the X2 fan-in cone is
 suppressed.
+
+Every entry point builds the network's global BDDs, so each raises
+:class:`~repro.bdd.bdd.BDDBudgetExceeded` when they outgrow
+:data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ Activities are in *transitions per clock cycle* at each node output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
 from repro.logic.transform import node_cover
@@ -51,7 +50,11 @@ def signal_probability_propagation(net: Network,
 def signal_probability_exact(net: Network,
                              input_probs: Optional[Dict[str, float]] = None
                              ) -> Dict[str, float]:
-    """Exact signal probabilities via global BDDs over the PIs."""
+    """Exact signal probabilities via global BDDs over the PIs.
+
+    Raises :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the BDDs
+    outgrow :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
+    """
     from repro.bdd.circuit import network_bdds
 
     input_probs = input_probs or {}
@@ -95,113 +98,39 @@ def transition_density(net: Network,
     return densities
 
 
-@dataclass
-class SimulationCache:
-    """Reusable Monte-Carlo simulation state for incremental estimation.
-
-    Pass one instance through repeated ``activity_from_simulation``
-    calls over the *same* stimulus (vectors/seed/probabilities) while an
-    optimizer edits the network: together with a ``dirty`` node list the
-    estimator then re-simulates only the edited nodes' transitive fanout
-    cone and reuses the cached words, transition counts and one-counts
-    everywhere else.  The cache is keyed on the stimulus parameters and
-    silently falls back to a full re-simulation whenever they change.
-    """
-
-    key: Optional[Tuple] = None           # stimulus identity
-    words: Dict[str, int] = field(default_factory=dict)      # PI stimulus
-    values: Dict[str, int] = field(default_factory=dict)     # node words
-    transitions: Dict[str, int] = field(default_factory=dict)
-    ones: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def warm(self) -> bool:
-        return self.key is not None
-
-    def copy(self) -> "SimulationCache":
-        """Cheap snapshot (words are immutable ints; dicts are copied)."""
-        return SimulationCache(key=self.key, words=dict(self.words),
-                               values=dict(self.values),
-                               transitions=dict(self.transitions),
-                               ones=dict(self.ones))
-
-    def adopt(self, other: "SimulationCache") -> None:
-        """Take over another cache's state in place (commit a trial)."""
-        self.key = other.key
-        self.words = other.words
-        self.values = other.values
-        self.transitions = other.transitions
-        self.ones = other.ones
-
-
-def activity_from_simulation(net: Network, num_vectors: int = 2048,
-                             seed: int = 0,
-                             input_probs: Optional[Dict[str, float]] = None,
-                             reuse: Optional[SimulationCache] = None,
-                             dirty: Optional[Iterable[str]] = None
-                             ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Monte-Carlo activity and probability estimates.
-
-    Latch outputs are driven as pseudo-inputs with probability 0.5 (use
-    ``sequential_activity`` for true sequential behaviour).  Returns
-    ``(activity, probability)`` dictionaries.
-
-    Evaluation runs on the compiled engine (:mod:`repro.sim.compiled`),
-    bit-exact with the interpreted path.  ``reuse`` (a
-    :class:`SimulationCache`, updated in place) plus ``dirty`` (names of
-    nodes whose function or structure changed since the cached
-    simulation) enable incremental re-simulation: only the dirty nodes'
-    transitive fanout cone is recomputed.  ``dirty=None`` with a warm
-    cache means "unknown edits" and forces a full pass; ``dirty=()``
-    asserts nothing changed and reuses the cache wholesale.
-    """
-    sources = [n for n in net.nodes.values() if n.is_source()]
-    mask = (1 << num_vectors) - 1
-    stim_key = (tuple(s.name for s in sources), num_vectors, seed,
-                None if input_probs is None
-                else tuple(sorted(input_probs.items())))
-
-    values: Optional[Dict[str, int]] = None
-    old_values: Dict[str, int] = {}
-    if reuse is not None and reuse.warm and reuse.key == stim_key \
-            and dirty is not None:
-        words = reuse.words
-        old_values = reuse.values
-        values = get_compiled(net).evaluate_incremental(
-            old_values, dirty, words, mask)
-    if values is None:
-        words = random_words([s.name for s in sources], num_vectors,
-                             seed, input_probs)
-        values = get_compiled(net).evaluate_words(words, mask)
-
+def word_statistics(values: Dict[str, int], num_vectors: int
+                    ) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """``(activity, probability)`` per node from bit-parallel simulation
+    words of ``num_vectors`` consecutive patterns."""
     pair_mask = (1 << (num_vectors - 1)) - 1 if num_vectors >= 2 else 0
-    old_t, old_o = (reuse.transitions, reuse.ones) if reuse is not None \
-        else ({}, {})
-    transitions: Dict[str, int] = {}
-    ones: Dict[str, int] = {}
-    for name, w in values.items():
-        old_w = old_values.get(name)
-        if (old_w is w or old_w == w) and name in old_t and old_w is not None:
-            transitions[name] = old_t[name]
-            ones[name] = old_o[name]
-        else:
-            transitions[name] = ((w ^ (w >> 1)) & pair_mask).bit_count()
-            ones[name] = w.bit_count()
-
     # num_vectors < 2 yields no transition pairs (and 0 patterns no
     # probability samples): define both rates as 0 instead of dividing
     # by zero — consistent with simulate_transitions' count < 2 guard.
     t_denom = num_vectors - 1 if num_vectors >= 2 else 1
     p_denom = num_vectors if num_vectors >= 1 else 1
-    activity = {k: v / t_denom for k, v in transitions.items()}
-    probability = {k: v / p_denom for k, v in ones.items()}
-    if reuse is not None:
-        reuse.key = stim_key
-        reuse.words = words
-        reuse.values = values
-        reuse.transitions = transitions
-        reuse.ones = ones
+    activity = {k: ((w ^ (w >> 1)) & pair_mask).bit_count() / t_denom
+                for k, w in values.items()}
+    probability = {k: w.bit_count() / p_denom for k, w in values.items()}
     return activity, probability
+
+
+def activity_from_simulation(net: Network, num_vectors: int = 2048,
+                             seed: int = 0,
+                             input_probs: Optional[Dict[str, float]] = None
+                             ) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Monte-Carlo activity and probability estimates.
+
+    Latch outputs are driven as pseudo-inputs with probability 0.5 (use
+    ``sequential_activity`` for true sequential behaviour).  Returns
+    ``(activity, probability)`` dictionaries.  Evaluation runs on the
+    compiled engine (:mod:`repro.sim.compiled`), bit-exact with the
+    interpreted path.
+    """
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    words = random_words(sources, num_vectors, seed, input_probs)
+    values = get_compiled(net).evaluate_words(words,
+                                              (1 << num_vectors) - 1)
+    return word_statistics(values, num_vectors)
 
 
 def sequential_activity(net: Network,

@@ -16,13 +16,9 @@ regime in which the surveyed FSM optimizations operate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.logic.netlist import Network
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 @dataclass
@@ -42,14 +38,15 @@ class SequentialAnalysis:
 def exact_sequential_activity(net: Network,
                               input_probs: Optional[Dict[str, float]]
                               = None,
-                              max_states: int = 4096,
-                              iterations: int = 2000
+                              max_states: int = 4096
                               ) -> SequentialAnalysis:
     """Exact node activities of a sequential network.
 
     ``input_probs[pi]`` is P(pi = 1) per cycle (inputs temporally and
-    spatially independent).  Raises if the reachable state space
-    exceeds ``max_states``.
+    spatially independent).  The state distribution is the long-run
+    average of the chain started in the reset state (see
+    :func:`_long_run_distribution`).  Raises if the reachable state
+    space exceeds ``max_states``.
     """
     input_probs = input_probs or {}
     pis = list(net.inputs)
@@ -105,23 +102,8 @@ def exact_sequential_activity(net: Network,
         # processed exactly once.
         frontier = nxt_frontier
 
+    pi_dist = _long_run_distribution(successors, minterm_prob)
     num_states = len(states)
-    # Stationary distribution by power iteration.
-    pi_dist = [1.0 / num_states] * num_states
-    for _ in range(iterations):
-        nxt = [0.0] * num_states
-        for s in range(num_states):
-            ps = pi_dist[s]
-            if ps == 0.0:
-                continue
-            row = successors[s]
-            for m in range(num_minterms):
-                nxt[row[m]] += ps * minterm_prob[m]
-        delta = sum(abs(a - b) for a, b in zip(nxt, pi_dist))
-        pi_dist = nxt
-        if delta < 1e-13:
-            break
-
     # Per node: W[s] = Σ_x P(x)·v(s, x), then
     # act = Σ_{s,x} π(s) P(x) (v ? 1-W[succ] : W[succ]).
     activities: Dict[str, float] = {}
@@ -159,6 +141,128 @@ def exact_sequential_activity(net: Network,
     return SequentialAnalysis(states=states, stationary=pi_dist,
                               activities=activities,
                               node_probabilities=probabilities)
+
+
+def _long_run_distribution(successors: List[List[int]],
+                           minterm_prob: List[float]) -> List[float]:
+    """Cesàro limit ``lim (1/T) Σ_{t<T} P(state_t = s)`` of the chain
+    that starts in state 0 and moves to ``successors[s][m]`` with
+    probability ``minterm_prob[m]``.
+
+    Exact, so periodic chains and reset states that reach several
+    closed classes are covered: a transient state gets 0, and each
+    closed class (a sink strongly connected component) its stationary
+    distribution weighted by the probability that the chain ends up in
+    it.  That probability is read off the chain that restarts from
+    state 0 whenever it enters a closed class.  Cost is linear in the
+    transitions plus the fill-in of :func:`_stationary`.
+    """
+    n = len(successors)
+    rows: List[Dict[int, float]] = [{} for _ in range(n)]
+    for s, row in enumerate(successors):
+        for m, t in enumerate(row):
+            if minterm_prob[m] > 0.0:
+                rows[s][t] = rows[s].get(t, 0.0) + minterm_prob[m]
+    comp = _components(rows)
+    reached = [s for s in range(n) if comp[s] >= 0]
+    closed = [True] * (max(comp) + 1)
+    for s in reached:
+        for t in rows[s]:
+            if comp[t] != comp[s]:
+                closed[comp[s]] = False
+    restart = {s: {0: 1.0} if closed[comp[s]] else rows[s]
+               for s in reached}
+    # Running sums, not sum(): from Python 3.12 on, sum() of floats is
+    # compensated and rounds differently.
+    entered = 0.0
+    classes: Dict[int, List[int]] = {}
+    mass: Dict[int, float] = {}
+    for s, x in zip(reached, _stationary(restart, reached)):
+        if closed[comp[s]]:
+            classes.setdefault(comp[s], []).append(s)
+            mass[comp[s]] = mass.get(comp[s], 0.0) + x
+            entered += x
+    pi = [0.0] * n
+    for c, cls in classes.items():
+        for s, x in zip(cls, _stationary(rows, cls)):
+            pi[s] = mass[c] / entered * x
+    return pi
+
+
+def _components(rows: List[Dict[int, float]]) -> List[int]:
+    """Strongly connected component of every state reachable from state
+    0, -1 for the others (iterative Tarjan, linear in the transitions).
+    """
+    n = len(rows)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack: List[int] = []
+    work: List[Tuple[int, Iterator[int]]] = []
+    count = ncomp = 0
+
+    def visit(v: int) -> None:
+        nonlocal count
+        index[v] = low[v] = count
+        count += 1
+        stack.append(v)
+        work.append((v, iter(rows[v])))
+
+    visit(0)
+    while work:
+        v, edges = work[-1]
+        for w in edges:
+            if index[w] < 0:
+                visit(w)
+                break
+            if comp[w] < 0:             # on the stack
+                low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                while comp[v] < 0:
+                    comp[stack.pop()] = ncomp
+                ncomp += 1
+    return comp
+
+
+def _stationary(rows, states: List[int]) -> List[float]:
+    """Stationary distribution over ``states`` of a chain (``rows[s]``:
+    successor -> probability) whose one closed class holds
+    ``states[0]``, by Grassmann–Taksar–Heyman state elimination on
+    sparse rows: no subtractions, and cost set by the fill-in (linear
+    for a counter, cubic only for dense transition structures)."""
+    k = len(states)
+    pos = {s: i for i, s in enumerate(states)}
+    a = [{pos[t]: p for t, p in rows[s].items()} for s in states]
+    pred: List[Set[int]] = [set() for _ in range(k)]
+    for i, row in enumerate(a):
+        for j in row:
+            pred[j].add(i)
+    for v in range(k - 1, 0, -1):
+        row_v = a[v]
+        down = 0.0
+        for j, p in row_v.items():
+            if j < v:
+                down += p
+        for i in pred[v]:
+            if i < v:
+                row_i = a[i]
+                w = row_i[v] = row_i[v] / down
+                for j, p in row_v.items():
+                    if j < v:
+                        pred[j].add(i)
+                        row_i[j] = row_i.get(j, 0.0) + w * p
+    x = [1.0] + [0.0] * (k - 1)
+    total = 1.0
+    for v in range(1, k):
+        acc = 0.0
+        for i in sorted(pred[v]):
+            if i < v:
+                acc += x[i] * a[i][v]
+        x[v] = acc
+        total += acc
+    return [v / total for v in x]
 
 
 def exact_sequential_power(net: Network,

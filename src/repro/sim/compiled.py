@@ -28,9 +28,12 @@ On top of the flat program, :meth:`CompiledNetwork.evaluate_incremental`
 re-simulates only the transitive fanout cone of a set of *dirty* nodes,
 reusing the previous pattern words everywhere else, with value-based
 early cut-off (a recomputed node whose word is unchanged stops the
-propagation).  This is the engine behind
-``activity_from_simulation(..., reuse=...)``: an optimizer that edits one
-node pays only for that node's cone instead of a full re-simulation.
+propagation).  It walks the cone through a fanout index in slot order,
+so it calls a kernel only for nodes in the cone; what it still pays for
+outside the cone is copying the previous words in and out (C-level
+``map``/``zip``).  The don't-care pass's global cost check runs on it: a
+candidate rewrite of one node pays only for that node's cone instead of
+a full re-simulation.
 
 All paths are bit-exact with the interpreted ``Network.evaluate_words``
 (pure integer logic, identical cube/literal semantics).
@@ -38,6 +41,7 @@ All paths are bit-exact with the interpreted ``Network.evaluate_words``
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.logic.gates import GateType
@@ -197,13 +201,15 @@ class CompiledNetwork:
     """
 
     __slots__ = ("fingerprint", "topo_key", "fn_keys", "names", "slot_of",
-                 "num_slots", "input_slots", "latch_slots", "ops")
+                 "num_slots", "input_slots", "latch_slots", "ops",
+                 "_fanout")
 
     def __init__(self, fingerprint: int, topo_key: int,
                  fn_keys: Tuple[object, ...], names: List[str],
                  input_slots: List[Tuple[int, str]],
                  latch_slots: List[Tuple[int, str, int]],
-                 ops: List[Tuple[int, Tuple[int, ...], Kernel]]):
+                 ops: List[Tuple[int, Tuple[int, ...], Kernel]],
+                 fanout=None):
         self.fingerprint = fingerprint
         self.topo_key = topo_key
         #: per-op function key (aligned with ``ops``) for repatching
@@ -215,6 +221,9 @@ class CompiledNetwork:
         self.input_slots = input_slots
         self.latch_slots = latch_slots
         self.ops = ops
+        #: (fanout slots per slot, op index per slot or -1): topology
+        #: only, so repatched snapshots share it; built on first use
+        self._fanout = fanout
 
     # -- full evaluation -----------------------------------------------
 
@@ -253,49 +262,100 @@ class CompiledNetwork:
 
     # -- incremental evaluation ------------------------------------------
 
+    def _fanout_index(self) -> Tuple[Tuple[Tuple[int, ...], ...],
+                                     List[int]]:
+        index = self._fanout
+        if index is None:
+            fanouts: List[List[int]] = [[] for _ in range(self.num_slots)]
+            op_at = [-1] * self.num_slots
+            for i, (out_slot, fanin_slots, _kernel) in enumerate(self.ops):
+                op_at[out_slot] = i
+                for s in fanin_slots:
+                    fanouts[s].append(out_slot)
+            index = self._fanout = (tuple(map(tuple, fanouts)), op_at)
+        return index
+
     def evaluate_incremental(self, prev: Dict[str, int],
                              dirty: Iterable[str],
                              input_words: Dict[str, int], mask: int,
                              state_words: Optional[Dict[str, int]] = None
                              ) -> Dict[str, int]:
-        """Re-evaluate only the transitive fanout cone of ``dirty``.
+        """Re-evaluate only the transitive fanout cone of ``dirty`` and
+        return the words that differ from ``prev``.
 
-        ``prev`` maps node name -> word from a prior evaluation under
-        the *same* ``input_words``/``mask``/``state_words`` of a network
-        that agrees with this one everywhere outside the cone of the
-        dirty set.  Nodes absent from ``prev`` (newly created) are
-        implicitly dirty; nodes whose function changed must be named in
-        ``dirty`` by the caller — that is the safety contract.
+        ``prev`` maps node name -> word from a prior evaluation of a
+        network that agrees with this one everywhere outside the cone
+        of the dirty set; ``{**prev, **result}``, restricted to this
+        network's nodes, is then the full evaluation under
+        ``input_words``/``mask``/``state_words``.
+        Nodes absent from ``prev`` (newly created) are implicitly dirty;
+        nodes whose function changed must be named in ``dirty`` by the
+        caller — that is the safety contract.  Source words that differ
+        from ``prev`` propagate like dirty nodes.
 
+        The cone is visited in slot (topological) order through a fanout
+        index, so every fanin of a recomputed node is final before its
+        kernel runs and no kernel outside the cone is called.
         Value-based early cut-off: a recomputed node whose word equals
         its previous word does not propagate further.
         """
-        values = [0] * self.num_slots
-        changed = bytearray(self.num_slots)
-        dirty_set = set(dirty)
-        self._load_sources(values, input_words, mask, state_words)
+        fanouts, op_at = self._fanout_index()
+        names, slot_of = self.names, self.slot_of
+        values = _Overlay(prev, names)
+        pending = [slot_of[name] for name in dirty if name in slot_of]
+        if not prev.keys() >= slot_of.keys():
+            pending += [slot_of[name]
+                        for name in slot_of.keys() - prev.keys()]
         for slot, name in self.input_slots:
-            if values[slot] != prev.get(name):
-                changed[slot] = 1
-        for slot, name, _init in self.latch_slots:
-            if values[slot] != prev.get(name):
-                changed[slot] = 1
-        for out_slot, fanin_slots, kernel in self.ops:
-            name = self.names[out_slot]
-            stale = name in dirty_set or name not in prev
-            if not stale:
-                for s in fanin_slots:
-                    if changed[s]:
-                        stale = True
-                        break
-            if not stale:
-                values[out_slot] = prev[name]
-                continue
-            word = kernel(values, mask)
-            values[out_slot] = word
+            word, old = input_words.get(name), prev.get(name)
+            # prev holds masked words: an equal word needs no masking
+            if word != old:
+                if word is None:
+                    raise NetlistError(f"missing input value for {name!r}")
+                word &= mask
+                if word != old:
+                    values[slot] = word
+                    pending += fanouts[slot]
+        for slot, name, init in self.latch_slots:
+            if state_words is not None and name in state_words:
+                word = state_words[name] & mask
+            else:
+                word = mask if init else 0
             if word != prev.get(name):
-                changed[out_slot] = 1
-        return dict(zip(self.names, values))
+                values[slot] = word
+                pending += fanouts[slot]
+        queued = set(pending)
+        heap = list(queued)
+        heapify(heap)
+        ops = self.ops
+        while heap:
+            slot = heappop(heap)
+            i = op_at[slot]
+            if i < 0:
+                continue
+            word = ops[i][2](values, mask)
+            if word != prev.get(names[slot]):
+                values[slot] = word
+                for t in fanouts[slot]:
+                    if t not in queued:
+                        queued.add(t)
+                        heappush(heap, t)
+        return {names[slot]: word for slot, word in values.items()}
+
+
+class _Overlay(dict):
+    """Slot -> word view the kernels read during incremental evaluation:
+    the words recomputed so far, falling back to the previous words."""
+
+    __slots__ = ("prev", "names")
+
+    def __init__(self, prev: Dict[str, int], names: List[str]):
+        super().__init__()
+        self.prev = prev
+        self.names = names
+
+    def __missing__(self, slot: int) -> int:
+        return self.prev[self.names[slot]]
 
 
 def _lower_node(node, fanin_slots: Tuple[int, ...]) -> Kernel:
@@ -359,11 +419,10 @@ def _repatch(net: Network, cached: CompiledNetwork,
             fn_keys[idx] = key
     return CompiledNetwork(fingerprint, cached.topo_key, tuple(fn_keys),
                            names, cached.input_slots, cached.latch_slots,
-                           ops)
+                           ops, cached._fanout)
 
 
-def get_compiled(net: Network,
-                 check_fingerprint: bool = True) -> CompiledNetwork:
+def get_compiled(net: Network) -> CompiledNetwork:
     """Cached compile of ``net``.
 
     The cache lives on the network (cleared by ``Network._invalidate``)
@@ -373,13 +432,9 @@ def get_compiled(net: Network,
     is unchanged (only node functions differ — the optimizer inner-loop
     case) is repatched in O(changed) rather than recompiled from
     scratch; either way the caller receives a fresh immutable snapshot.
-    ``check_fingerprint=False`` skips the verification for callers that
-    guarantee hook discipline.
     """
     cached = getattr(net, "_compiled", None)
     if cached is not None:
-        if not check_fingerprint:
-            return cached
         fp = structural_fingerprint(net)
         if cached.fingerprint == fp:
             return cached

@@ -96,7 +96,9 @@ def verify_equivalence_exact(a: Network, b: Network) -> bool:
     same node.  Outputs are matched by name when both networks name the
     same output set, positionally otherwise (see
     :func:`_matched_outputs`).  Exact but exponential in the worst
-    case — intended for the netlist sizes the optimizations operate on.
+    case — intended for the netlist sizes the optimizations operate on;
+    raises :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the shared
+    manager would outgrow :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
     """
     from repro.bdd.bdd import BDD
     from repro.bdd.circuit import network_bdds, structural_order

@@ -151,7 +151,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                                 seed=args.seed,
                                 use_mapping=not args.no_map,
                                 use_sizing=not args.no_size,
-                                dontcare_size_cap=args.dontcare_cap,
                                 strict=args.strict,
                                 strict_lint=args.strict_lint)
     except Exception as exc:
@@ -415,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-lint", action="store_true",
                    help="invariant-lint every candidate network; "
                    "passes that break an invariant roll back")
-    p.add_argument("--dontcare-cap", type=int, default=120,
-                   metavar="N", help="skip the don't-care stage above "
-                   "N gates (recorded in the trace; default 120)")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("flow", help="run a declarative pass flow from "

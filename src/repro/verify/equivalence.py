@@ -42,7 +42,9 @@ def combinational_equivalent(a: Network, b: Network) -> bool:
 
     Inputs are matched by name; outputs by name when both networks
     name the same output set, positionally otherwise (see
-    :func:`repro.sim.functional._matched_outputs`).
+    :func:`repro.sim.functional._matched_outputs`).  Raises
+    :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the BDDs outgrow
+    :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
     """
     from repro.sim.functional import verify_equivalence_exact
 

@@ -5,14 +5,15 @@ order, are built with every public operation.  Each result must have
 the truth table computed independently from its operands' tables, and
 equal functions must share one node (canonicity).  The one-pass
 quantifiers and the relational product must also return the very node
-their per-variable and build-then-quantify definitions return.
+their per-variable and build-then-quantify definitions return.  The
+node budget must stop a manager at exactly its size and leave it usable.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd.bdd import BDD
+from repro.bdd.bdd import BDD, BDDBudgetExceeded
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -165,3 +166,65 @@ class TestQuantifierIdentities:
             names = rng.sample(list(order), rng.randint(0, len(order)))
             assert f.and_exists(g, names).node == \
                 (f & g).exists(names).node
+
+
+# -- the node budget ----------------------------------------------------------
+
+def parity(bdd, names):
+    acc = bdd.false
+    for name in names:
+        acc = acc ^ bdd.var(name)
+    return acc
+
+
+def assert_consistent(bdd):
+    """Every node is in the unique table under its own triple."""
+    assert len(bdd._unique) == bdd.num_nodes() - 2
+    for node in range(2, bdd.num_nodes()):
+        key = (bdd._level[node], bdd._lo[node], bdd._hi[node])
+        assert bdd._unique[key] == node
+
+
+class TestNodeBudget:
+    def test_fires_at_exactly_the_budget(self, monkeypatch):
+        size = BDD(NAMES).num_nodes()
+        full = BDD(NAMES)
+        parity(full, NAMES)
+        needed = full.num_nodes()
+        raised_in = set()
+        for budget in range(size + 1, needed + 1):
+            monkeypatch.setattr("repro.bdd.bdd.NODE_BUDGET", budget)
+            bdd = BDD(NAMES)
+            try:
+                parity(bdd, NAMES)
+            except BDDBudgetExceeded as exc:
+                assert budget < needed
+                assert bdd.num_nodes() == budget
+                tb = exc.__traceback__
+                while tb.tb_next:
+                    tb = tb.tb_next
+                raised_in.add(tb.tb_frame.f_code.co_name)
+            else:
+                assert budget == needed
+            assert_consistent(bdd)
+        assert raised_in == {"_mk", "_ite"}
+
+    def test_manager_usable_and_canonical_after(self, monkeypatch):
+        monkeypatch.setattr("repro.bdd.bdd.NODE_BUDGET", 12)
+        bdd = BDD(NAMES)
+        try:
+            parity(bdd, NAMES)
+        except BDDBudgetExceeded:
+            pass
+        else:
+            raise AssertionError("budget of 12 nodes did not fire")
+        monkeypatch.undo()
+        f = parity(bdd, NAMES)
+        assert parity(bdd, NAMES[::-1]) == f
+        assert table(f, 6) == (var_table(0, 6) ^ var_table(1, 6)
+                               ^ var_table(2, 6) ^ var_table(3, 6)
+                               ^ var_table(4, 6) ^ var_table(5, 6))
+        fresh = BDD(NAMES)
+        parity(fresh, NAMES)
+        assert bdd.num_nodes() == fresh.num_nodes()
+        assert_consistent(bdd)

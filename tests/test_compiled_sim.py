@@ -12,9 +12,8 @@ from repro.logic.generators import (array_multiplier, counter, mux_tree,
                                     ripple_carry_adder)
 from repro.logic.netlist import NetlistError, Network
 from repro.logic.sop import Cover
-from repro.power.activity import (SimulationCache,
-                                  activity_from_simulation,
-                                  sequential_activity)
+from repro.power.activity import (activity_from_simulation,
+                                  sequential_activity, word_statistics)
 from repro.sim.compiled import (compile_network, get_compiled,
                                 structural_fingerprint)
 from repro.sim.functional import verify_equivalence, verify_equivalence_exact
@@ -149,11 +148,12 @@ def test_incremental_matches_full_after_edit():
                 if n.gtype in (GateType.AND, GateType.OR))
     gate.gtype = GateType.NAND if gate.gtype is GateType.AND \
         else GateType.NOR
-    inc = get_compiled(net).evaluate_incremental(prev, [gate.name],
-                                                 words, mask)
+    delta = get_compiled(net).evaluate_incremental(prev, [gate.name],
+                                                   words, mask)
     full = get_compiled(net).evaluate_words(words, mask)
-    assert inc == full
-    assert inc != prev
+    assert {**prev, **delta} == full
+    assert delta and delta == {k: w for k, w in full.items()
+                               if prev[k] != w}
 
 
 def test_incremental_empty_dirty_is_identity():
@@ -163,7 +163,7 @@ def test_incremental_empty_dirty_is_identity():
     mask = (1 << 32) - 1
     prev = get_compiled(net).evaluate_words(words, mask)
     assert get_compiled(net).evaluate_incremental(prev, (), words,
-                                                  mask) == prev
+                                                  mask) == {}
 
 
 def test_incremental_treats_missing_nodes_as_dirty():
@@ -176,16 +176,22 @@ def test_incremental_treats_missing_nodes_as_dirty():
     victim = next(n.name for n in net.gate_nodes())
     del partial[victim]
     assert get_compiled(net).evaluate_incremental(partial, (), words,
-                                                  mask) == full
+                                                  mask) == \
+        {victim: full[victim]}
 
 
-# -- activity cache ----------------------------------------------------------
+# -- incremental words as the don't-care pass uses them ----------------------
+
+
+def _stimulus(net, vectors, seed):
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    return random_words(sources, vectors, seed), (1 << vectors) - 1
 
 
 def test_activity_reuse_dirty_matches_fresh():
     net = random_logic(8, 40, seed=3)
-    cache = SimulationCache()
-    activity_from_simulation(net, 128, 1, reuse=cache)
+    words, mask = _stimulus(net, 128, 1)
+    prev = get_compiled(net).evaluate_words(words, mask)
     gate = next(n for n in net.gate_nodes()
                 if n.gtype in (GateType.AND, GateType.OR,
                                GateType.NAND, GateType.NOR))
@@ -193,36 +199,40 @@ def test_activity_reuse_dirty_matches_fresh():
                   GateType.NAND: GateType.AND,
                   GateType.OR: GateType.NOR,
                   GateType.NOR: GateType.OR}[gate.gtype]
-    inc_act, inc_p = activity_from_simulation(net, 128, 1, reuse=cache,
-                                              dirty=(gate.name,))
-    fresh_act, fresh_p = activity_from_simulation(net, 128, 1)
-    assert inc_act == fresh_act
-    assert inc_p == fresh_p
+    delta = get_compiled(net).evaluate_incremental(prev, (gate.name,),
+                                                   words, mask)
+    assert word_statistics({**prev, **delta}, 128) == \
+        activity_from_simulation(net, 128, 1)
 
 
-def test_activity_cache_trial_commit_semantics():
+def test_incremental_trial_leaves_prev_intact():
+    """A rejected rewrite costs nothing to undo: the previous words are
+    never mutated and stay valid once the edit is reverted."""
     net = ripple_carry_adder(4)
-    cache = SimulationCache()
-    act0, _ = activity_from_simulation(net, 64, 0, reuse=cache)
-    trial = cache.copy()
-    trial.values["s0"] = ~trial.values["s0"]     # corrupt the trial only
-    assert cache.values["s0"] != trial.values["s0"]
-    committed = cache.copy()
-    cache.adopt(trial)
-    assert cache.values["s0"] == trial.values["s0"]
-    cache.adopt(committed)
-    act1, _ = activity_from_simulation(net, 64, 0, reuse=cache,
-                                       dirty=())
-    assert act1 == act0
+    words, mask = _stimulus(net, 64, 0)
+    prev = get_compiled(net).evaluate_words(words, mask)
+    snapshot = dict(prev)
+    node = net.nodes[net.outputs[0]]
+    original = node.gtype
+    node.gtype = GateType.XNOR if original is GateType.XOR \
+        else GateType.XOR
+    delta = get_compiled(net).evaluate_incremental(prev, (node.name,),
+                                                   words, mask)
+    assert delta and prev == snapshot
+    node.gtype = original
+    assert get_compiled(net).evaluate_incremental(prev, (), words,
+                                                  mask) == {}
+    assert get_compiled(net).evaluate_words(words, mask) == prev
 
 
-def test_activity_cache_stimulus_change_forces_full_pass():
+def test_incremental_follows_changed_input_words():
     net = ripple_carry_adder(4)
-    cache = SimulationCache()
-    activity_from_simulation(net, 64, 0, reuse=cache)
-    act, _ = activity_from_simulation(net, 64, 1, reuse=cache, dirty=())
-    fresh, _ = activity_from_simulation(net, 64, 1)
-    assert act == fresh
+    words0, mask = _stimulus(net, 64, 0)
+    words1, _ = _stimulus(net, 64, 1)
+    prev = get_compiled(net).evaluate_words(words0, mask)
+    delta = get_compiled(net).evaluate_incremental(prev, (), words1, mask)
+    assert {**prev, **delta} == \
+        get_compiled(net).evaluate_words(words1, mask)
 
 
 # -- satellite regressions ---------------------------------------------------

@@ -55,7 +55,7 @@ class TestFlow:
         measured power between its own before/after snapshots."""
         net = random_logic(7, 25, seed=11)
         res = run_flow(net, FlowSpec(
-            passes=[("dontcare", {"size_cap": 120})], num_vectors=512))
+            passes=[("dontcare", {})], num_vectors=512))
         by_name = {s.name: s for s in res.stages}
         if "dontcare" in by_name:
             assert by_name["dontcare"].report.total <= \

@@ -3,6 +3,7 @@ rebuilt on top of it, and the flow/CLI bug batch."""
 
 import gc
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from repro.core.flow import (_enable_rate, fsm_low_power_flow,
                              low_power_flow, run_flow)
 from repro.core.passes import (ADOPTED, FlowError, FlowSpec,
                                FlowTrace, Pass, PassContext,
-                               ROLLED_BACK, SKIPPED, TraceRecord,
+                               PassSkipped, ROLLED_BACK, SKIPPED,
+                               TraceRecord,
                                available_passes, load_flow_spec,
                                make_pass, run_network_passes)
 from repro.logic.blif import write_blif
@@ -144,13 +146,23 @@ def _hostile(kind):
                                make_pass("map")], ctx)
 
 
+#: A BDD node budget that rca2's don't-care pass cannot fit in.
+TINY_BUDGET = 8
+
+
+def _over_budget(**spec):
+    """Run dontcare then extract on rca2 under :data:`TINY_BUDGET`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.bdd.bdd.NODE_BUDGET", TINY_BUDGET)
+        return run_flow(ripple_carry_adder(2), FlowSpec.from_dict(
+            dict({"num_vectors": 128, "passes": ["dontcare", "extract"]},
+                 **spec)))
+
+
 _FLOWS = {
     "default": lambda: low_power_flow(ripple_carry_adder(3),
                                       num_vectors=128),
-    "skip": lambda: run_flow(ripple_carry_adder(2), FlowSpec.from_dict(
-        {"num_vectors": 128,
-         "passes": [{"pass": "dontcare", "params": {"size_cap": 0}},
-                    "extract"]})),
+    "skip": _over_budget,
     "exception": lambda: _hostile("exception"),
     "equivalence": lambda: _hostile("equivalence"),
     "lint": lambda: _hostile("lint"),
@@ -167,7 +179,7 @@ class TestFlowResult:
         assert stages[0].name == "initial"
         reasons = [r.reason for r in records]
         if kind == "skip":
-            assert "size-cap" in reasons
+            assert "bdd-budget" in reasons
         elif kind == "exception":
             assert any(r.startswith("exception:") for r in reasons)
         elif kind != "default":
@@ -201,6 +213,7 @@ class TestFlowResult:
         gc.disable()
         try:
             low_power_flow(array_multiplier(4))
+            _over_budget()
             run_flow(random_logic(16, 150, seed=0), FlowSpec(
                 passes=[("extract", {}), ("map", {}), ("size", {})]))
             assert gc.collect() == 0
@@ -248,22 +261,46 @@ class TestTrace:
         assert trace.outcomes() == {ADOPTED: 1, SKIPPED: 2}
 
 
-class TestSizeCap:
-    def test_skip_is_recorded(self):
-        res = run_flow(ripple_carry_adder(2), FlowSpec(
-            passes=[("dontcare", {"size_cap": 0})], num_vectors=128))
-        assert [s.name for s in res.stages] == ["initial", "dontcare"]
-        stage = res.stages[1]
-        assert stage.outcome == SKIPPED
-        assert stage.reason == "size-cap"
-        # the skipped stage's snapshot is the unchanged adopted state
-        assert stage.report.total == res.stages[0].report.total
-        rec = res.trace.records[0]
-        assert rec.outcome == SKIPPED and rec.reason == "size-cap"
+class TestBudgetSkip:
+    """A pass that raises PassSkipped (dontcare over the BDD budget) is
+    recorded as skipped and leaves the adopted state alone."""
 
-    def test_cap_is_a_parameter(self):
+    def test_skip_is_recorded(self):
+        res = _over_budget()
+        assert [s.name for s in res.stages] == \
+            ["initial", "dontcare", "extract"]
+        initial, stage = res.stages[0], res.stages[1]
+        assert (stage.outcome, stage.reason) == (SKIPPED, "bdd-budget")
+        # the skipped stage's snapshot is the unchanged adopted state
+        assert replace(stage, name="initial", outcome=ADOPTED,
+                       reason="") == initial
+        rec = res.trace.records[0]
+        assert (rec.outcome, rec.reason) == (SKIPPED, "bdd-budget")
+        assert (rec.power_after, rec.gates_after, rec.verify_vectors) \
+            == (rec.power_before, rec.gates_before, 0)
+        assert res.trace.records[1].outcome == ADOPTED
+
+    def test_strict_mode_does_not_raise(self):
+        res = _over_budget(strict=True)
+        assert [r.outcome for r in res.trace.records] == \
+            [SKIPPED, ADOPTED]
+
+    def test_partial_edit_is_dropped(self):
+        def edit_then_skip(net, ctx, params):
+            _complement_output(net, ctx, params)
+            raise PassSkipped("not today")
+
+        net = ripple_carry_adder(2)
+        work = to_sop_network(net)
+        res = _engine(net, [Pass(name="shy", apply=edit_then_skip)],
+                      strict=True)
+        assert (res.stages[1].outcome, res.stages[1].reason) == \
+            (SKIPPED, "not today")
+        assert write_blif(res.final) == write_blif(work)
+
+    def test_default_budget_runs_the_pass(self):
         res = run_flow(ripple_carry_adder(2), FlowSpec(
-            passes=[("dontcare", {"size_cap": None})], num_vectors=128))
+            passes=[("dontcare", {})], num_vectors=128))
         assert res.stages[1].outcome == ADOPTED
 
     def test_default_flag_behaviour_unchanged(self):
@@ -321,6 +358,28 @@ class TestFlowSpec:
     def test_unknown_pass_name(self):
         with pytest.raises(ValueError, match="unknown pass"):
             make_pass("definitely-not-a-pass")
+
+    def test_unknown_param_rejected(self):
+        with pytest.raises(ValueError, match="'dontcare'.*size_cap"):
+            make_pass("dontcare", {"size_cap": 0})
+        with pytest.raises(ValueError,
+                           match="known: max_power_regression$"):
+            make_pass("sweep", {"objective": "power"})
+        spec = FlowSpec.from_dict(
+            {"passes": [{"pass": "map", "params": {"objectve": "area"}}]})
+        with pytest.raises(ValueError, match="objectve"):
+            run_flow(ripple_carry_adder(2), spec)
+
+    def test_declared_params_accepted(self):
+        make_pass("balance", {"selective": True, "min_skew": 1.0,
+                              "max_buffers": 4, "buffer_size": 0.5})
+        for name in available_passes():
+            assert make_pass(name, {"max_power_regression": 0.25}) \
+                .max_power_regression == 0.25
+        path = Path(__file__).resolve().parents[1] / "examples" / \
+            "flow_spec.json"
+        assert [p.name for p in load_flow_spec(str(path)).build()] == \
+            ["extract", "map", "balance"]
 
     def test_registry_contents(self):
         names = available_passes()
@@ -456,6 +515,11 @@ class TestCli:
         assert main(["flow", comb_blif, "--spec", str(typo)]) == 2
         assert "unknown flow spec key 'vectors'" in \
             capsys.readouterr().err
+        capped = tmp_path / "capped.json"
+        capped.write_text(json.dumps(
+            {"passes": [{"pass": "dontcare", "params": {"size_cap": 0}}]}))
+        assert main(["flow", comb_blif, "--spec", str(capped)]) == 2
+        assert "unknown params size_cap" in capsys.readouterr().err
 
     def test_balance_selective_and_cap(self, tmp_path, capsys):
         from repro.logic.generators import parity_tree

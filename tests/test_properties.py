@@ -281,9 +281,11 @@ def test_incremental_resimulation_agrees_after_random_edit(
     gates = [n for n in net.gate_nodes() if n.gtype in flip]
     gate = gates[random.Random(edit_seed).randrange(len(gates))]
     gate.gtype = flip[gate.gtype]
-    inc = get_compiled(net).evaluate_incremental(prev, [gate.name],
-                                                 words, mask)
-    assert inc == net.evaluate_words(words, mask)
+    delta = get_compiled(net).evaluate_incremental(prev, [gate.name],
+                                                   words, mask)
+    full = net.evaluate_words(words, mask)
+    assert {**prev, **delta} == full
+    assert delta == {k: w for k, w in full.items() if prev[k] != w}
 
 
 @given(st.integers(0, 10 ** 6), st.permutations(list(range(4))),

@@ -4,7 +4,8 @@ sequential estimator must all agree with each other."""
 
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.opt.seq.encoding import (encode_anneal, encode_greedy,
                                     encode_natural, encoding_cost)
@@ -19,11 +20,8 @@ from repro.verify.equivalence import sequential_equivalent
 SETTINGS = settings(max_examples=15, deadline=None)
 
 
-@st.composite
-def random_fsms(draw, max_states=5):
+def random_machine(seed, n):
     """A random completely-specified 1-input Moore-ish machine."""
-    seed = draw(st.integers(0, 10 ** 6))
-    n = draw(st.integers(2, max_states))
     rng = random.Random(seed)
     stg = STG(1, 1)
     states = [f"s{i}" for i in range(n)]
@@ -32,6 +30,50 @@ def random_fsms(draw, max_states=5):
         stg.add_transition("0", s, rng.choice(states), out)
         stg.add_transition("1", s, rng.choice(states), out)
     return stg
+
+
+@st.composite
+def random_fsms(draw, max_states=5):
+    seed = draw(st.integers(0, 10 ** 6))
+    n = draw(st.integers(2, max_states))
+    return random_machine(seed, n)
+
+
+def closed_classes(stg):
+    """The closed (absorbing) state classes the reset state reaches."""
+    succ = {s: set() for s in stg.states}
+    for t in stg.transitions:
+        succ[t.src].add(t.dst)
+
+    def reach(s):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in succ[todo.pop()] - seen:
+                seen.add(t)
+                todo.append(t)
+        return frozenset(seen)
+
+    after = {s: reach(s) for s in stg.states}
+    return {after[s] for s in after[stg.reset_state]
+            if all(s in after[t] for t in after[s])}
+
+
+def mean_activity(net, runs=4096, cycles=400, seed=0):
+    """Node activity averaged over ``runs`` independent trajectories from
+    reset, simulated bit-parallel (bit k of every word is run k)."""
+    rng = random.Random(seed)
+    mask = (1 << runs) - 1
+    state = {la.output: mask if la.init else 0 for la in net.latches}
+    prev, toggles = None, {}
+    for _ in range(cycles):
+        inputs = {pi: rng.getrandbits(runs) for pi in net.inputs}
+        state, values = net.step_words(state, inputs, mask)
+        if prev is not None:
+            for name, w in values.items():
+                toggles[name] = toggles.get(name, 0) + \
+                    (w ^ prev[name]).bit_count()
+        prev = values
+    return {k: c / (runs * (cycles - 1)) for k, c in toggles.items()}
 
 
 @given(random_fsms())
@@ -83,6 +125,8 @@ def test_minimization_preserves_behaviour(stg):
 @given(random_fsms())
 @SETTINGS
 def test_exact_estimator_matches_simulation(stg):
+    # One long trajectory only samples the closed class it falls into.
+    assume(len(closed_classes(stg)) == 1)
     net = synthesize_fsm(stg, encode_natural(stg))
     analysis = exact_sequential_activity(net)
     rng = random.Random(3)
@@ -91,6 +135,33 @@ def test_exact_estimator_matches_simulation(stg):
     for name, count in sim_tr.items():
         sim_act = count / (len(vecs) - 1)
         assert abs(analysis.activities[name] - sim_act) < 0.06, name
+
+
+@pytest.mark.parametrize("seed, n", [(137, 5), (156, 4), (374, 5)])
+def test_exact_estimator_averages_closed_classes(seed, n):
+    """Reset reaches two closed classes (at seed 137, s0 goes to the
+    absorbing s1 or to {s3, s4}): the exact activity is the mean over
+    trajectories from reset, whichever class each one ends in."""
+    stg = random_machine(seed, n)
+    assert len(closed_classes(stg)) == 2
+    net = synthesize_fsm(stg, encode_natural(stg))
+    analysis = exact_sequential_activity(net)
+    assert sum(analysis.stationary) == pytest.approx(1.0)
+    for name, act in mean_activity(net).items():
+        assert abs(analysis.activities[name] - act) < 0.015, name
+
+
+def test_exact_estimator_periodic_chain():
+    """A deterministic 3-cycle is periodic: every state holds 1/3 of the
+    time, and each state bit toggles twice per period."""
+    stg = STG(1, 1)
+    for i in range(3):
+        stg.add_transition("-", f"s{i}", f"s{(i + 1) % 3}", str(i % 2))
+    net = synthesize_fsm(stg, encode_natural(stg))
+    analysis = exact_sequential_activity(net)
+    assert analysis.stationary == pytest.approx([1 / 3] * 3)
+    for latch in net.latches:
+        assert analysis.activities[latch.output] == pytest.approx(2 / 3)
 
 
 @given(random_fsms())

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.logic.gates import GateType
+from repro.logic.generators import counter
 from repro.logic.netlist import Network
 from repro.opt.seq.encoding import encode_natural
 from repro.opt.seq.stg import STG, synthesize_fsm
@@ -66,6 +67,24 @@ class TestExactActivity:
         for latch in net.latches:
             assert analysis.activities[latch.output] == \
                 pytest.approx(0.0)
+
+    def test_frozen_input_stays_in_reset(self):
+        """States entered only through a zero-probability input get no
+        long-run weight."""
+        analysis = exact_sequential_activity(counter_fsm(), {"x0": 0.0})
+        assert analysis.stationary == [1.0, 0.0, 0.0, 0.0]
+
+    def test_large_counter(self):
+        """A 1024-state binary counter is one closed cycle: uniform
+        stationary distribution, and bit i toggles when the enable is
+        high and the bits below it are all 1."""
+        analysis = exact_sequential_activity(counter(10), {"en": 0.3})
+        assert analysis.num_states == 1024
+        assert analysis.stationary == \
+            pytest.approx([1 / 1024] * 1024, rel=1e-9)
+        for i in range(10):
+            assert analysis.activities[f"q{i}"] == \
+                pytest.approx(0.3 / 2 ** i, rel=1e-9)
 
     def test_state_explosion_guard(self):
         net = Network()
