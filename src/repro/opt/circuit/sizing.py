@@ -1,15 +1,16 @@
-"""Slack-driven transistor sizing (Section II-B; [42], [3]).
+"""Transistor sizing for power under a delay target (Section II-B;
+[42], [3]).
 
 Each gate carries a size factor (``node.attrs["size"]``).  Upsizing a
 gate speeds it up (its drive resistance falls) but raises the load it
 presents to its fanins and the energy it switches.  Loads and switched
 capacitances come from :mod:`repro.power.model`, so a mapped gate is
-priced by its cell data exactly as the power report prices it.  The
-optimizer starts from a sizing that meets the delay target and walks
-downhill in power: it repeatedly downsizes the gate with positive slack
-whose shrink saves the most switched capacitance while keeping the
-circuit at or under the delay constraint — the "reduce sizes until
-slack becomes zero" loop the paper describes.
+priced by its cell data exactly as the power report prices it.  Sizing
+starts with every gate at its largest size and shrinks gates until one
+of the paper's two stop rules holds: the transistors are all minimum
+size, or no gate with positive slack can shrink without breaking the
+target.  ``SizingResult.moves`` counts one-step downsizes from the
+start to the result.
 """
 
 from __future__ import annotations
@@ -184,49 +185,64 @@ def size_for_power(net: Network, activity: Dict[str, float],
                    allowed_sizes: Sequence[float] = (1.0, 2.0, 4.0),
                    params: Optional[PowerParameters] = None,
                    apply: bool = True) -> SizingResult:
-    """Greedy slack-recycling downsizer.
+    """Size every gate for least switched capacitance with the critical
+    delay at most ``delay_target`` (default: the all-max delay +5%).
 
-    Starts with every gate at the largest allowed size (the
-    delay-optimal starting point), then repeatedly takes the downsizing
-    move with the best power saving that keeps the critical delay within
-    ``delay_target`` (default: the all-max-size delay — i.e. zero
-    nominal slack, matching the paper's "given a delay constraint").
-    When ``apply`` is set the final sizes are written to node attrs.
-    Sizing never changes a node's logic function, so one ``activity``
-    map serves the whole downhill walk.
+    All-minimum sizing is the result whenever it meets the target:
+    switched capacitance never falls as a size grows, so nothing beats
+    it.  Otherwise :func:`_walk` downsizes from all-max.  ``moves``
+    counts the one-step downsizes from all-max to the result.  When
+    ``apply`` is set the sizes are written to node attrs.
     """
     params = params or PowerParameters()
-    ordered = sorted(allowed_sizes)
+    ordered = sorted(set(allowed_sizes))
     sizes = {name: float(ordered[-1])
              for name, node in net.nodes.items() if not node.is_source()}
     delay_before = critical_path_delay(net, sizes, params)
     target = delay_target if delay_target is not None \
         else delay_before * 1.05
     power_before = switched_capacitance(net, sizes, activity, params)
+    minimum = {name: float(ordered[0]) for name in sizes}
+    delay_after = critical_path_delay(net, minimum, params)
+    if delay_after <= target:
+        sizes = minimum
+    else:
+        sizes = _walk(net, sizes, activity, target, ordered, params)
+        delay_after = critical_path_delay(net, sizes, params)
+    if apply:
+        for name, s in sizes.items():
+            net.nodes[name].attrs["size"] = s
+    top = len(ordered) - 1
+    return SizingResult(
+        sizes=sizes, delay_target=target, delay_before=delay_before,
+        delay_after=delay_after, power_before=power_before,
+        power_after=switched_capacitance(net, sizes, activity, params),
+        moves=sum(top - ordered.index(s) for s in sizes.values()))
 
-    # Incremental walk: a candidate re-times only its cone and is
-    # judged on the switched-capacitance terms it changes (its own
-    # self-capacitance and its fanins' pin loads); an accepted move
-    # carries its delays and arrivals into the next step.  Decisions
-    # match full recomputation (tests/test_load_model.py keeps
-    # that reference implementation).
+
+def _walk(net: Network, sizes: Dict[str, float],
+          activity: Dict[str, float], target: float,
+          ordered: List[float], params: PowerParameters
+          ) -> Dict[str, float]:
+    """Greedy downsizing from ``sizes``: take the first move, largest
+    slack first, that keeps ``target`` and lowers switched capacitance,
+    until none does.  A candidate re-times only its cone and is judged
+    on the terms it changes (its own capacitance and its fanins' pin
+    loads); decisions match full recomputation, the reference kept in
+    tests/test_load_model.py.  Sizes change no logic function, so one
+    ``activity`` map serves the whole walk."""
     timing = _Timing(net, params)
     delay = timing.delays(sizes)
     arr = timing.arrivals(delay)
-    moves = 0
-    improved = True
-    while improved:
-        improved = False
+    while True:
         slk = timing.slacks(arr, delay, target)
-        # Consider gates with positive slack, largest first.
         candidates = sorted(
             (name for name, s in slk.items()
              if s > 0 and name in sizes and sizes[name] > ordered[0]),
             key=lambda n: -slk[n])
         for name in candidates:
-            idx = ordered.index(sizes[name])
             trial = dict(sizes)
-            trial[name] = float(ordered[idx - 1])
+            trial[name] = float(ordered[ordered.index(sizes[name]) - 1])
             trial_delay, trial_arr = timing.retime(arr, delay, trial, name)
             if timing.critical(trial_arr) <= target:
                 delta = 0.0
@@ -238,22 +254,6 @@ def size_for_power(net: Network, activity: Dict[str, float],
                     sizes = trial
                     delay.update(trial_delay)
                     arr = trial_arr
-                    moves += 1
-                    improved = True
                     break
-    # The greedy walk can strand gates at large sizes; if the
-    # all-minimum sizing meets the target and beats it, take that.
-    ones = {name: float(ordered[0]) for name in sizes}
-    if critical_path_delay(net, ones, params) <= target:
-        if switched_capacitance(net, ones, activity, params) < \
-                switched_capacitance(net, sizes, activity, params):
-            sizes = ones
-    power_after = switched_capacitance(net, sizes, activity, params)
-    delay_after = critical_path_delay(net, sizes, params)
-    if apply:
-        for name, s in sizes.items():
-            net.nodes[name].attrs["size"] = s
-    return SizingResult(sizes=sizes, delay_target=target,
-                        delay_before=delay_before, delay_after=delay_after,
-                        power_before=power_before, power_after=power_after,
-                        moves=moves)
+        else:
+            return sizes

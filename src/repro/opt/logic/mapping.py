@@ -37,14 +37,15 @@ from repro.power.activity import activity_from_simulation
 Cut = Tuple[str, ...]  # ordered leaf names
 
 
-def _permute_tt(tt: int, n: int, perm: Sequence[int]) -> int:
-    """Truth table after permuting inputs: new var i = old var perm[i]."""
+def _remap(tt: int, n: int, pos: Sequence[int]) -> int:
+    """Truth table over ``n`` variables of the function ``tt`` whose
+    variable j is variable ``pos[j]``."""
     out = 0
     for m in range(1 << n):
         src = 0
-        for i in range(n):
-            if (m >> i) & 1:
-                src |= 1 << perm[i]
+        for j, p in enumerate(pos):
+            if (m >> p) & 1:
+                src |= 1 << j
         if (tt >> src) & 1:
             out |= 1 << m
     return out
@@ -64,42 +65,73 @@ def _library_patterns(library: Library, max_inputs: int
             continue
         base_tt = truth_table(cell.cover)
         for perm in permutations(range(n)):
-            tt = _permute_tt(base_tt, n, perm)
+            tt = _remap(base_tt, n, [perm.index(j) for j in range(n)])
             patterns.setdefault((n, tt), []).append((cell, perm))
     return patterns
 
 
-def _enumerate_cuts(net: Network, k: int,
-                    max_cuts_per_node: int = 12) -> Dict[str, List[Cut]]:
-    """Bottom-up k-feasible cut enumeration (priority: fewer leaves)."""
-    cuts: Dict[str, List[Cut]] = {}
+def _enumerate_cuts(net: Network, k: int, max_cuts_per_node: int = 12
+                    ) -> Dict[str, List[Tuple[Cut, int]]]:
+    """Bottom-up k-feasible cut enumeration (priority: fewer leaves),
+    each cut with its root's truth table over the cut leaves.
+
+    A merged cut's table is the node's function of its fanin cut
+    tables, each expanded to the merged leaves.  That is the cone's
+    function unless a leaf of one fanin's cut lies inside the other
+    fanin's cone; such a cut is evaluated over its cone's inner nodes.
+    """
+    # name -> [(leaves, table, inner nodes of the cone)]
+    cuts: Dict[str, List[Tuple[Cut, int, Tuple[str, ...]]]] = {}
+    position: Dict[str, int] = {}
+    # (node function, fanin tables with their leaf positions) -> table
+    memo: Dict[tuple, int] = {}
     for name in net.topo_order():
-        node = net.nodes[name]
-        if node.is_source() or not node.fanins:
-            cuts[name] = [(name,)]
+        position[name] = len(position)
+        node, out = net.nodes[name], [((name,), 0b10, ())]
+        cuts[name] = out
+        fanins = node.fanins
+        if node.is_source() or not fanins:
             continue
-        merged: List[FrozenSet[str]] = []
-        sets = [[frozenset(c) for c in cuts[fi]] for fi in node.fanins]
-        if len(sets) == 1:
-            combos = [s for s in sets[0]]
-        else:
-            combos = []
-            for c1 in sets[0]:
-                for c2 in sets[1]:
-                    u = c1 | c2
-                    if len(u) <= k:
-                        combos.append(u)
-        seen = set()
-        out: List[FrozenSet[str]] = [frozenset([name])]
-        for u in sorted(combos, key=len):
-            if u in seen:
-                continue
-            seen.add(u)
-            out.append(u)
-            if len(out) >= max_cuts_per_node:
-                break
-        cuts[name] = [tuple(sorted(c)) for c in out]
-    return cuts
+        if len(fanins) == 1:        # the fanin's cuts, same leaves
+            for leaves, t, inner in cuts[fanins[0]][:max_cuts_per_node - 1]:
+                out.append((leaves, _node_word(
+                    node, [t], (1 << (1 << len(leaves))) - 1),
+                    inner + (name,)))
+            continue
+        local = _node_word(node, list(_leaf_words(2)), 0b1111)
+        # The first fanin-cut pair of every feasible merged leaf set.
+        merged: Dict[FrozenSet[str], tuple] = {}
+        second = [(c, frozenset(c[0])) for c in cuts[fanins[1]]]
+        for c1 in cuts[fanins[0]]:
+            s1 = frozenset(c1[0])
+            for c2, s2 in second:
+                u = s1 | s2
+                if len(u) <= k and u not in merged:
+                    merged[u] = (c1, c2)
+        for u in sorted(merged, key=len)[:max_cuts_per_node - 1]:
+            (sub1, t1, inner1), (sub2, t2, inner2) = merged[u]
+            leaves = tuple(sorted(u))
+            n, mask = len(leaves), (1 << (1 << len(leaves))) - 1
+            inner = set(inner1).union(inner2, (name,))
+            if u.isdisjoint(inner):
+                pos1 = tuple(map(leaves.index, sub1))
+                pos2 = tuple(map(leaves.index, sub2))
+                key = (local, t1, pos1, t2, pos2)
+                if key not in memo:
+                    memo[key] = _node_word(node, [_remap(t1, n, pos1),
+                                                  _remap(t2, n, pos2)],
+                                           mask)
+                table = memo[key]
+            else:
+                inner -= u
+                value = dict(zip(leaves, _leaf_words(n)))
+                for x in sorted(inner, key=position.__getitem__):
+                    value[x] = _node_word(
+                        net.nodes[x],
+                        [value[fi] for fi in net.nodes[x].fanins], mask)
+                table = value[name]
+            out.append((leaves, table, tuple(inner)))
+    return {name: [c[:2] for c in cs] for name, cs in cuts.items()}
 
 
 @lru_cache(maxsize=None)
@@ -110,35 +142,10 @@ def _leaf_words(n: int) -> Tuple[int, ...]:
                  for i in range(n))
 
 
-def _cut_function(net: Network, root: str, cut: Cut) -> Optional[int]:
-    """Truth table of ``root`` over the cut leaves, or None if the cone
-    reads signals outside the cut."""
-    n = len(cut)
-    mask = (1 << (1 << n)) - 1
-    memo: Dict[str, int] = dict(zip(cut, _leaf_words(n)))
-
-    def value(name: str) -> Optional[int]:
-        if name in memo:
-            return memo[name]
-        node = net.nodes[name]
-        if node.is_source():
-            return None
-        ins = []
-        for fi in node.fanins:
-            v = value(fi)
-            if v is None:
-                return None
-            ins.append(v)
-        if node.kind == "gate":
-            out = eval_gate(node.gtype, ins, mask)
-        else:
-            out = node.cover.evaluate_words(ins, mask)
-        memo[name] = out
-        return out
-
-    result = value(root)
-    del value  # break the recursive closure's reference cycle
-    return result
+def _node_word(node: Node, ins: List[int], mask: int) -> int:
+    if node.kind == "gate":
+        return eval_gate(node.gtype, ins, mask)
+    return node.cover.evaluate_words(ins, mask)
 
 
 @dataclass
@@ -188,44 +195,34 @@ def tech_map(net: Network, library: Library, objective: str = "area",
     best_cost: Dict[str, float] = {}
     best_match: Dict[str, Tuple[Cell, Tuple[int, ...], Cut]] = {}
     arrival: Dict[str, float] = {}
+    constants = {name for name, node in subject.nodes.items()
+                 if node.kind == "gate" and
+                 node.gtype in (GateType.CONST0, GateType.CONST1)}
 
     for name in subject.topo_order():
-        node = subject.nodes[name]
-        if node.is_source():
-            best_cost[name] = 0.0
-            arrival[name] = 0.0
-            continue
-        if node.kind == "gate" and node.gtype in (GateType.CONST0,
-                                                  GateType.CONST1):
+        if subject.nodes[name].is_source() or name in constants:
             best_cost[name] = 0.0
             arrival[name] = 0.0
             continue
         best_cost[name] = INF
         arrival[name] = INF
-        for cut in cuts[name]:
-            if cut == (name,):
+        act = activity.get(name, 0.0)
+        # Leaves precede their root, so each has a finite cost by now.
+        for cut, tt in cuts[name]:
+            matches = patterns.get((len(cut), tt))
+            if not matches or cut == (name,) or \
+                    not constants.isdisjoint(cut):
                 continue
-            if any(subject.nodes[l].kind == "gate" and
-                   subject.nodes[l].gtype in (GateType.CONST0,
-                                              GateType.CONST1)
-                   for l in cut):
-                continue
-            tt = _cut_function(subject, name, cut)
-            if tt is None:
-                continue
-            for cell, perm in patterns.get((len(cut), tt), ()):
-                if any(l not in best_cost or best_cost[l] == INF
-                       for l in cut):
-                    continue
-                leaf_cost = sum(best_cost[l] for l in cut)
-                leaf_arr = max((arrival[l] for l in cut), default=0.0)
+            leaf_cost = sum(best_cost[l] for l in cut)
+            leaf_arr = max((arrival[l] for l in cut), default=0.0)
+            leaf_acts = [activity.get(l, 0.0) for l in cut]
+            for cell, perm in matches:
                 arr = leaf_arr + cell.delay(4.0)
                 if objective == "area":
                     cost = leaf_cost + cell.area
                 elif objective == "power":
-                    own = activity.get(name, 0.0) * cell.output_cap
-                    pins = sum(activity.get(l, 0.0) * cell.input_cap
-                               for l in cut)
+                    own = act * cell.output_cap
+                    pins = sum(a * cell.input_cap for a in leaf_acts)
                     cost = leaf_cost + own + pins
                 else:
                     cost = arr
@@ -260,8 +257,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
         if node.is_source():
             emitted[name] = True
             return
-        if node.kind == "gate" and node.gtype in (GateType.CONST0,
-                                                  GateType.CONST1):
+        if name in constants:
             mapped.add_gate(name, node.gtype, [])
             emitted[name] = True
             return

@@ -17,6 +17,7 @@ from repro.logic.cube import Cube
 
 from repro.logic.netlist import Network
 from repro.logic.sop import Cover
+from repro.power.sequential import _long_run_distribution
 
 
 @dataclass(frozen=True)
@@ -101,22 +102,20 @@ class STG:
 
     def stationary_distribution(self,
                                 input_probs: Optional[Sequence[float]]
-                                = None, iterations: int = 500
-                                ) -> Dict[str, float]:
-        """Stationary state probabilities by power iteration."""
+                                = None) -> Dict[str, float]:
+        """Long-run state probabilities of the chain started in
+        ``reset_state``, solved exactly
+        (:func:`repro.power.sequential._long_run_distribution`): states
+        it never reaches get 0, and closed classes are weighted by the
+        probability of ending in them."""
         matrix = self.transition_matrix(input_probs)
-        pi = {s: 1.0 / len(self.states) for s in self.states}
-        for _ in range(iterations):
-            nxt = {s: 0.0 for s in self.states}
-            for s, row in matrix.items():
-                ps = pi[s]
-                for t, p in row.items():
-                    nxt[t] += ps * p
-            delta = sum(abs(nxt[s] - pi[s]) for s in self.states)
-            pi = nxt
-            if delta < 1e-12:
-                break
-        return pi
+        order = [self.reset_state] + \
+            [s for s in self.states if s != self.reset_state]
+        index = {s: i for i, s in enumerate(order)}
+        pi = _long_run_distribution(
+            [{index[t]: p for t, p in matrix[s].items() if p > 0.0}
+             for s in order])
+        return {s: pi[index[s]] for s in self.states}
 
     def edge_weights(self, input_probs: Optional[Sequence[float]] = None
                      ) -> Dict[Tuple[str, str], float]:

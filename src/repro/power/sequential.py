@@ -102,7 +102,12 @@ def exact_sequential_activity(net: Network,
         # processed exactly once.
         frontier = nxt_frontier
 
-    pi_dist = _long_run_distribution(successors, minterm_prob)
+    rows: List[Dict[int, float]] = [{} for _ in successors]
+    for s, succ_row in enumerate(successors):
+        for m, t in enumerate(succ_row):
+            if minterm_prob[m] > 0.0:
+                rows[s][t] = rows[s].get(t, 0.0) + minterm_prob[m]
+    pi_dist = _long_run_distribution(rows)
     num_states = len(states)
     # Per node: W[s] = Σ_x P(x)·v(s, x), then
     # act = Σ_{s,x} π(s) P(x) (v ? 1-W[succ] : W[succ]).
@@ -143,11 +148,10 @@ def exact_sequential_activity(net: Network,
                               node_probabilities=probabilities)
 
 
-def _long_run_distribution(successors: List[List[int]],
-                           minterm_prob: List[float]) -> List[float]:
+def _long_run_distribution(rows: List[Dict[int, float]]) -> List[float]:
     """Cesàro limit ``lim (1/T) Σ_{t<T} P(state_t = s)`` of the chain
-    that starts in state 0 and moves to ``successors[s][m]`` with
-    probability ``minterm_prob[m]``.
+    that starts in state 0 and moves from ``s`` to ``t`` with
+    probability ``rows[s][t]`` (sparse rows: positive entries only).
 
     Exact, so periodic chains and reset states that reach several
     closed classes are covered: a transient state gets 0, and each
@@ -157,12 +161,7 @@ def _long_run_distribution(successors: List[List[int]],
     state 0 whenever it enters a closed class.  Cost is linear in the
     transitions plus the fill-in of :func:`_stationary`.
     """
-    n = len(successors)
-    rows: List[Dict[int, float]] = [{} for _ in range(n)]
-    for s, row in enumerate(successors):
-        for m, t in enumerate(row):
-            if minterm_prob[m] > 0.0:
-                rows[s][t] = rows[s].get(t, 0.0) + minterm_prob[m]
+    n = len(rows)
     comp = _components(rows)
     reached = [s for s in range(n) if comp[s] >= 0]
     closed = [True] * (max(comp) + 1)

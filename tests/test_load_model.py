@@ -14,7 +14,7 @@ node is priced by its cell: ``input_cap`` per pin it presents,
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.library.cells import generic_library
 from repro.logic.blif import read_blif
@@ -109,42 +109,46 @@ def ref_switched_capacitance(net, sizes, activity, params):
 
 def ref_size_for_power(net, activity, delay_target=None,
                        allowed_sizes=(1.0, 2.0, 4.0), params=PARAMS):
-    """The greedy downsizer with full re-timing per candidate."""
-    ordered = sorted(allowed_sizes)
+    """All-minimum sizing when it meets the target, else the greedy
+    downsizer with full re-timing per candidate.  ``walk_moves`` counts
+    the walk's accepted moves (None when it is not entered)."""
+    ordered = sorted(set(allowed_sizes))
     sizes = {name: float(ordered[-1])
              for name, node in net.nodes.items() if not node.is_source()}
     delay_before = ref_critical_path_delay(net, sizes, params)
     target = delay_target if delay_target is not None \
         else delay_before * 1.05
     power_before = ref_switched_capacitance(net, sizes, activity, params)
-    moves = 0
-    improved = True
-    while improved:
-        improved = False
-        slk = ref_slacks(net, sizes, target, params)
-        candidates = sorted(
-            (name for name, s in slk.items()
-             if s > 0 and name in sizes and sizes[name] > ordered[0]),
-            key=lambda n: -slk[n])
-        for name in candidates:
-            trial = dict(sizes)
-            trial[name] = float(ordered[ordered.index(sizes[name]) - 1])
-            if ref_critical_path_delay(net, trial, params) <= target:
-                before = ref_switched_capacitance(net, sizes, activity,
-                                                  params)
-                after = ref_switched_capacitance(net, trial, activity,
-                                                 params)
-                if after < before:
-                    sizes = trial
-                    moves += 1
-                    improved = True
-                    break
     ones = {name: float(ordered[0]) for name in sizes}
+    walk_moves = None
     if ref_critical_path_delay(net, ones, params) <= target:
-        if ref_switched_capacitance(net, ones, activity, params) < \
-                ref_switched_capacitance(net, sizes, activity, params):
-            sizes = ones
-    return {"sizes": sizes, "moves": moves,
+        sizes = ones
+    else:
+        walk_moves = 0
+        improved = True
+        while improved:
+            improved = False
+            slk = ref_slacks(net, sizes, target, params)
+            candidates = sorted(
+                (name for name, s in slk.items()
+                 if s > 0 and name in sizes and sizes[name] > ordered[0]),
+                key=lambda n: -slk[n])
+            for name in candidates:
+                trial = dict(sizes)
+                trial[name] = float(
+                    ordered[ordered.index(sizes[name]) - 1])
+                if ref_critical_path_delay(net, trial, params) <= target:
+                    before = ref_switched_capacitance(net, sizes, activity,
+                                                      params)
+                    after = ref_switched_capacitance(net, trial, activity,
+                                                     params)
+                    if after < before:
+                        sizes = trial
+                        walk_moves += 1
+                        improved = True
+                        break
+    steps = sum(len(ordered) - 1 - ordered.index(s) for s in sizes.values())
+    return {"sizes": sizes, "moves": steps, "walk_moves": walk_moves,
             "power_before": power_before,
             "power_after": ref_switched_capacitance(net, sizes, activity,
                                                     params),
@@ -225,13 +229,19 @@ def mapped_circuit(seed, num_inputs, num_gates):
 
 
 def assert_sizing_matches(net, activity, **kwargs):
+    """The engine equals the reference; returns whether the reference
+    walked (all-minimum missed the target)."""
     ref = ref_size_for_power(net, activity, **kwargs)
     res = size_for_power(net, activity, apply=False, **kwargs)
     assert res.sizes == ref["sizes"]
     assert res.moves == ref["moves"]
+    if ref["walk_moves"] is not None:
+        # On a walk, every accepted move is one one-step downsize.
+        assert res.moves == ref["walk_moves"]
     assert res.power_before == ref["power_before"]
     assert res.power_after == ref["power_after"]
     assert res.delay_after == ref["delay_after"]
+    return ref["walk_moves"] is not None
 
 
 circuit_args = dict(seed=st.integers(0, 10 ** 6),
@@ -244,6 +254,7 @@ circuit_args = dict(seed=st.integers(0, 10 ** 6),
 class TestSizingMatchesReference:
     @SETTINGS
     @given(**circuit_args)
+    @example(seed=0, num_inputs=4, num_gates=28)    # walk strands gates
     def test_random_logic(self, seed, num_inputs, num_gates):
         from repro.logic.generators import random_logic
 
@@ -270,29 +281,36 @@ class TestSizingMatchesReference:
         assert_sizing_matches(net, random_activity(net, seed))
 
     @SETTINGS
-    @given(factor=st.floats(0.5, 1.6),
+    @given(factor=st.floats(0.5, 0.99),
            allowed=st.sampled_from([(1.0, 2.0, 4.0), (0.5, 1.0, 3.0),
                                     (1.0, 1.5, 2.0, 3.0, 4.0)]),
            **circuit_args)
     def test_delay_target_and_sizes(self, seed, num_inputs, num_gates,
                                     factor, allowed):
+        """Targets below the all-size-1 delay, which no all-minimum
+        sizing meets (smallest sizes are at most 1): the walk runs."""
         net = build_circuit(seed, num_inputs, num_gates, seed % 3,
                             repeat_fanins=True)
         ones = {n: 1.0 for n in net.nodes}
         target = factor * ref_critical_path_delay(net, ones, PARAMS)
-        assert_sizing_matches(net, random_activity(net, seed),
-                              delay_target=target, allowed_sizes=allowed)
+        assert assert_sizing_matches(net, random_activity(net, seed),
+                                     delay_target=target,
+                                     allowed_sizes=allowed)
 
     def test_flow_circuit(self):
-        """A mapped multiplier: the flow's own sizing situation."""
+        """A mapped multiplier, sized against a target below the
+        all-minimum delay (the walk) and against the flow's own target,
+        the all-minimum delay (no walk)."""
         from repro.logic.generators import array_multiplier
 
         net = tech_map(array_multiplier(3), generic_library(),
                        objective="power").mapped
         activity = random_activity(net, 3)
         ones = {n: 1.0 for n in net.nodes}
-        target = critical_path_delay(net, ones, PARAMS)
-        assert_sizing_matches(net, activity, delay_target=target)
+        delay = critical_path_delay(net, ones, PARAMS)
+        for scale, walks in ((0.95, True), (1.0, False)):
+            assert assert_sizing_matches(
+                net, activity, delay_target=scale * delay) == walks
 
     @SETTINGS
     @given(num_latches=st.integers(0, 3), **circuit_args)
@@ -312,6 +330,56 @@ class TestSizingMatchesReference:
             ref_slacks(net, sizes, 7.5, PARAMS)
         assert switched_capacitance(net, sizes, activity, PARAMS) == \
             ref_switched_capacitance(net, sizes, activity, PARAMS)
+
+
+# -- the all-minimum stop rule ---------------------------------------------
+
+class TestAllMinimumStop:
+    def test_walk_not_entered_when_all_minimum_meets_target(
+            self, monkeypatch):
+        from repro.opt.circuit import sizing
+
+        def no_walk(*args):
+            raise AssertionError("walked though all-minimum meets target")
+
+        monkeypatch.setattr(sizing, "_walk", no_walk)
+        net = build_circuit(5, 4, 30, num_latches=1)
+        ones = {n: 1.0 for n in net.nodes}
+        for target in (critical_path_delay(net, ones, PARAMS), 1e9):
+            res = size_for_power(net, random_activity(net, 5),
+                                 delay_target=target, apply=False)
+            assert set(res.sizes.values()) == {1.0}
+            assert res.moves == 2 * len(res.sizes)
+
+    def test_walk_strands_a_zero_activity_gate(self):
+        """The default flow's sizing situation on random_logic(16, 150,
+        seed=2): the walk leaves constant gate g114 at size 4, since
+        shrinking it saves nothing.  The result is all-minimum instead,
+        at the same switched capacitance."""
+        from repro.core.flow import low_power_flow
+        from repro.logic.generators import random_logic
+        from repro.opt.circuit import sizing
+        from repro.power.activity import activity_from_simulation
+
+        net = low_power_flow(random_logic(16, 150, seed=2),
+                             use_sizing=False).final
+        activity, _ = activity_from_simulation(net, 1024, 0, None)
+        target = critical_path_delay(net, {n: 1.0 for n in net.nodes},
+                                     PARAMS)
+        start = {n.name: 4.0 for n in net.gate_nodes()}
+        walked = sizing._walk(net, start, activity, target,
+                              [1.0, 2.0, 4.0], PARAMS)
+        assert {n: s for n, s in walked.items() if s != 1.0} == \
+            {"g114": 4.0}
+        assert net.nodes["g114"].fanins == [] and activity["g114"] == 0.0
+        res = size_for_power(net, activity, delay_target=target,
+                             apply=False)
+        assert set(res.sizes.values()) == {1.0}
+        assert res.power_after == switched_capacitance(net, walked,
+                                                        activity, PARAMS)
+        flow = low_power_flow(random_logic(16, 150, seed=2))
+        assert {float(n.attrs["size"]) for n in flow.final.gate_nodes()} \
+            == {1.0}
 
 
 # -- node_capacitance on the load table ------------------------------------

@@ -164,6 +164,34 @@ def test_exact_estimator_periodic_chain():
         assert analysis.activities[latch.output] == pytest.approx(2 / 3)
 
 
+def test_stg_distribution_from_reset():
+    """At seed 137, s0 goes to the absorbing s1 or to the class
+    {s3, s4} with probability 1/2 each; s2 is unreachable.  A power
+    iteration from a uniform start gave pi(s1) = 0.4 here."""
+    pi = random_machine(137, 5).stationary_distribution()
+    assert pi == pytest.approx({"s0": 0.0, "s1": 0.5, "s2": 0.0,
+                                "s3": 0.25, "s4": 0.25}, abs=1e-12)
+
+
+@given(random_fsms())
+@SETTINGS
+def test_stg_distribution_matches_synthesized_machine(stg):
+    """The STG's distribution is the exact estimator's state
+    distribution of its synthesized machine (0 off the reachable
+    states)."""
+    enc = encode_natural(stg)
+    net = synthesize_fsm(stg, enc)
+    analysis = exact_sequential_activity(net)
+    bits = max(1, max(enc.values()).bit_length())
+    by_code = {}
+    for state, p in zip(analysis.states, analysis.stationary):
+        value = {la.output: b for la, b in zip(net.latches, state)}
+        by_code[sum(value[f"s{j}"] << j for j in range(bits))] = p
+    pi = stg.stationary_distribution()
+    for s in stg.states:
+        assert pi[s] == pytest.approx(by_code.get(enc[s], 0.0), abs=1e-9)
+
+
 @given(random_fsms())
 @SETTINGS
 def test_stationary_distribution_is_stochastic(stg):
