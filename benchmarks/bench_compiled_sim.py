@@ -24,7 +24,7 @@ from repro.logic.generators import (array_multiplier, random_logic,
 from repro.sim.compiled import get_compiled
 from repro.sim.vectors import random_words
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -151,7 +151,7 @@ def compiled_rows(vectors=2048, seed=6, edits=8, repeats=10):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(2048, quick, floor=128)
     edits = 4 if quick else 8
     rows = compiled_rows(vectors=vectors, seed=seed + 6, edits=edits)

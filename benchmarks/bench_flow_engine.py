@@ -25,7 +25,7 @@ from repro.logic.generators import array_multiplier, ripple_carry_adder
 from repro.logic.transform import to_sop_network
 from repro.sim.functional import verify_equivalence
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -109,7 +109,7 @@ def engine_exercise(vectors=256, seed=0):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(512, quick, floor=256)
     metrics, default_trace, _rows = engine_exercise(vectors=vectors,
                                                     seed=seed)

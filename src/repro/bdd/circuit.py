@@ -18,8 +18,8 @@ def structural_order(net: Network) -> List[str]:
     output cone reads sit next to each other (Malik et al., ICCAD'88):
     ``a0 b0 a1 b1 ...`` for an adder or comparator, whose BDDs are
     exponential in declaration order ``a0..a7 b0..b7``.  Sources no
-    root reaches follow in declaration order.  Use it as
-    ``network_bdds(net, BDD(structural_order(net)))``.
+    root reaches follow in declaration order.  It is the order of every
+    manager :func:`network_bdds` creates.
     """
     order: List[str] = []
     seen: Set[str] = set()
@@ -94,10 +94,12 @@ def network_bdds(net: Network, bdd: Optional[BDD] = None
     """Global BDD of every node over primary inputs and latch outputs.
 
     Latch outputs are treated as free variables (combinational view).
-    Raises :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the manager
-    would outgrow :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
+    Without ``bdd`` a new manager is created, its variables in
+    :func:`structural_order`; with it, sources the manager lacks are
+    appended.  Raises :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the
+    manager would outgrow :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
     """
-    manager = bdd if bdd is not None else BDD()
+    manager = bdd if bdd is not None else BDD(structural_order(net))
     funcs: Dict[str, BDDFunction] = {}
     for name in net.topo_order():
         node = net.nodes[name]

@@ -572,8 +572,12 @@ class FlowSpec:
                 raise ValueError(
                     f"bad pass entry {entry!r}: expected a name or "
                     f"{{'pass': ..., 'params': {{...}}}}")
+        num_vectors = int(d.get("num_vectors", 1024))
+        if num_vectors < 1:
+            raise ValueError(
+                f"num_vectors must be at least 1, got {num_vectors}")
         return cls(name=str(d.get("name", "flow")), passes=passes,
-                   num_vectors=int(d.get("num_vectors", 1024)),
+                   num_vectors=num_vectors,
                    seed=int(d.get("seed", 0)),
                    strict=bool(d.get("strict", False)),
                    check_equivalence=bool(

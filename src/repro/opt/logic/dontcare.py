@@ -1,9 +1,12 @@
 """Don't-care based node optimization targeting power (Section III-A.1).
 
-For each internal node we compute its *controllability* don't-cares
-(fanin combinations that can never occur) and *observability*
-don't-cares (fanin combinations under which the node's value cannot
-reach any output), both via global BDDs.  The node's cover is then
+For each internal node we compute its don't-care set over its fanins
+from the global BDDs that :func:`~repro.bdd.circuit.network_bdds` builds:
+the fanin combinations that no input assignment produces
+(*controllability* don't-cares) or that only assignments under which
+the node's value reaches no output produce (*observability*
+don't-cares).  One fanin relation ``R`` gives both at once,
+``DC = ¬∃x (R ∧ ¬ODC)``.  The node's cover is then
 re-minimized against the don't-care set, choosing among the legal covers
 the one that minimizes the node's expected switching contribution
 ``2·p·(1−p)·C`` — the power-aware exploitation of don't-cares from
@@ -15,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from repro.bdd.bdd import BDD, BDDFunction
-from repro.bdd.circuit import (bdd_to_cover, network_bdds, node_function,
-                               structural_order)
-from repro.logic.netlist import Network, Node
+from repro.bdd.bdd import BDDFunction
+from repro.bdd.circuit import bdd_to_cover, network_bdds, node_function
+from repro.logic.netlist import Network
 from repro.logic.sop import Cover
 from repro.logic.transform import gates_to_sop
 from repro.power.activity import (activity_from_probability,
@@ -33,52 +35,35 @@ def _sources(net: Network) -> List[str]:
     return [n.name for n in net.nodes.values() if n.is_source()]
 
 
-def _fanin_relation(bdd: BDD, aux_names: List[str],
-                    fanin_funcs: List[BDDFunction]) -> BDDFunction:
-    """Characteristic function ``∏ (y_i ≡ f_i)`` of the fanin map: one
-    auxiliary variable ``y_i`` (created here) per fanin function."""
+def _dont_cares(net: Network, node_name: str,
+                funcs: Dict[str, BDDFunction],
+                odc: BDDFunction) -> Cover:
+    """Don't-care set of a node as a cover over its fanins.
+
+    With one auxiliary variable ``y_i`` per fanin and the fanin relation
+    ``R = ∏ (y_i ≡ f_i)``, a fanin combination is a don't-care when no
+    source assignment outside the observability don't-cares ``odc``
+    produces it: ``DC = ¬∃x (R ∧ ¬odc)``.  That is the controllability
+    don't-cares plus the combinations reached only under ``odc``.
+    """
+    node = net.node(node_name)
+    bdd = odc.bdd
+    aux = [f"__dc_{node_name}_{i}" for i in range(len(node.fanins))]
     relation = bdd.true
-    for aux, f in zip(aux_names, fanin_funcs):
-        relation = relation & ~(bdd.var(aux) ^ f)
-    return relation
-
-
-def _fanin_space_image(net: Network, node: Node,
-                       funcs: Dict[str, BDDFunction],
-                       bdd: BDD, aux_names: List[str]) -> BDDFunction:
-    """Image of the reachable input space on the node's fanin space.
-
-    Returns a BDD over the auxiliary variables ``aux_names`` (one per
-    fanin) that is 1 exactly on fanin combinations some PI assignment
-    produces.
-    """
-    relation = _fanin_relation(bdd, aux_names,
-                               [funcs[fi] for fi in node.fanins])
-    return relation.exists(_sources(net))
-
-
-def _structural_bdds(net: Network) -> Dict[str, BDDFunction]:
-    """Global BDDs in the structural variable order.
-
-    Every cover this module emits is a BDD over auxiliary variables
-    created after the sources, with the sources quantified out; it is
-    canonical whatever the source order, so the order changes only the
-    cost of getting there.
-    """
-    return network_bdds(net, BDD(structural_order(net)))
+    for y, fi in zip(aux, node.fanins):
+        relation = relation & ~(bdd.var(y) ^ funcs[fi])
+    return bdd_to_cover(~relation.and_exists(~odc, _sources(net)), aux)
 
 
 def controllability_dont_cares(net: Network, node_name: str,
                                funcs: Optional[Dict[str, BDDFunction]]
                                = None) -> Cover:
-    """CDC set of a node as a cover over its fanins."""
-    node = net.node(node_name)
+    """CDC set of a node as a cover over its fanins: the fanin
+    combinations no source assignment produces."""
     if funcs is None:
-        funcs = _structural_bdds(net)
+        funcs = network_bdds(net)
     bdd = next(iter(funcs.values())).bdd
-    aux = [f"__cdc_{node_name}_{i}" for i in range(len(node.fanins))]
-    image = _fanin_space_image(net, node, funcs, bdd, aux)
-    return bdd_to_cover(~image, aux)
+    return _dont_cares(net, node_name, funcs, bdd.false)
 
 
 def _fanout_cone(net: Network, node_name: str) -> Set[str]:
@@ -100,7 +85,7 @@ def observability_dont_cares(net: Network, node_name: str,
     """ODC set over the primary inputs: assignments under which flipping
     the node changes no primary output."""
     if funcs is None:
-        funcs = _structural_bdds(net)
+        funcs = network_bdds(net)
     bdd = next(iter(funcs.values())).bdd
     # Rebuild the node's transitive fanout cone twice, with the node
     # fixed to FALSE and to TRUE: an output ignores the node exactly
@@ -208,7 +193,7 @@ def dontcare_power_optimization(net: Network,
     values = get_compiled(net).evaluate_words(words, mask)
     cap = cap_before = _switched_cap(net, values, num_vectors)
     lits_before = _literals(net)
-    funcs = _structural_bdds(net)
+    funcs = network_bdds(net)
     changed = 0
     for name in net.topo_order():
         node = net.nodes[name]
@@ -216,18 +201,8 @@ def dontcare_power_optimization(net: Network,
             continue
         if len(node.fanins) > MAX_FANINS:
             continue
-        dc = controllability_dont_cares(net, name, funcs)
-        odc_global = observability_dont_cares(net, name, funcs)
-        if not odc_global.is_false:
-            aux = [f"__odcimg_{name}_{i}" for i in range(len(node.fanins))]
-            relation = _fanin_relation(
-                odc_global.bdd, aux, [funcs[fi] for fi in node.fanins])
-            sources = _sources(net)
-            img = relation.and_exists(odc_global, sources)
-            # Fanin combos reachable *only* under the ODC condition.
-            reach_all = relation.exists(sources)
-            non_odc = relation.and_exists(~odc_global, sources)
-            dc = dc.union(bdd_to_cover(reach_all & img & ~non_odc, aux))
+        dc = _dont_cares(net, name, funcs,
+                         observability_dont_cares(net, name, funcs))
         if dc.is_empty():
             continue
         on = node.cover
@@ -250,7 +225,7 @@ def dontcare_power_optimization(net: Network,
                 values, cap = trial, trial_cap
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
-                funcs = _structural_bdds(net)
+                funcs = network_bdds(net)
             else:
                 node.cover = on
     return DontCareResult(nodes_changed=changed,

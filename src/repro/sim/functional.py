@@ -91,26 +91,25 @@ def _matched_outputs(a: Network, b: Network
 def verify_equivalence_exact(a: Network, b: Network) -> bool:
     """Formal combinational equivalence via canonical BDDs.
 
-    Builds both networks' output functions in one shared manager,
-    ordered by ``structural_order(a)``; equal functions hash-cons to the
-    same node.  Outputs are matched by name when both networks name the
-    same output set, positionally otherwise (see
-    :func:`_matched_outputs`).  Exact but exponential in the worst
-    case — intended for the netlist sizes the optimizations operate on;
-    raises :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the shared
-    manager would outgrow :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
+    Builds ``b``'s functions into the manager :func:`network_bdds` made
+    for ``a``, so equal functions hash-cons to the same node.  Outputs
+    are matched by name when both networks name the same output set,
+    positionally otherwise (see :func:`_matched_outputs`).  Exact but
+    exponential in the worst case — intended for the netlist sizes the
+    optimizations operate on; raises
+    :class:`~repro.bdd.bdd.BDDBudgetExceeded` when the shared manager
+    would outgrow :data:`~repro.bdd.bdd.NODE_BUDGET` nodes.
     """
-    from repro.bdd.bdd import BDD
-    from repro.bdd.circuit import network_bdds, structural_order
+    from repro.bdd.circuit import network_bdds
 
     if set(a.inputs) != set(b.inputs):
         raise ValueError("networks have different inputs")
     pairs = _matched_outputs(a, b)
-    if pairs is None:
-        return False
-    manager = BDD(structural_order(a))
-    fa = network_bdds(a, manager)
-    fb = network_bdds(b, manager)
+    if not pairs:
+        # No outputs to compare, and ``a`` may have no node to build.
+        return pairs is not None
+    fa = network_bdds(a)
+    fb = network_bdds(b, next(iter(fa.values())).bdd)
     return all(fa[x].node == fb[y].node for x, y in pairs)
 
 

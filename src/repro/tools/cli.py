@@ -37,6 +37,19 @@ def _load(path: str, check: bool = True) -> Network:
         return read_blif(f, check=check)
 
 
+def _vector_count(text: str) -> int:
+    """``--vectors`` value: a simulation length of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {count}")
+    return count
+
+
 def _reject_sequential(net: Network, command: str) -> bool:
     """The combinational commands mis-handle latches (their passes and
     equivalence checks treat latch outputs as free inputs); refuse
@@ -360,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("netlist", help="input BLIF file")
-        p.add_argument("--vectors", type=int, default=1024,
+        p.add_argument("--vectors", type=_vector_count, default=1024,
                        help="simulation vectors (default 1024)")
         p.add_argument("--seed", type=int, default=0)
 
@@ -421,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist", help="input BLIF file")
     p.add_argument("--spec", required=True, metavar="FLOW.json",
                    help="flow spec: pass list + per-pass params")
-    p.add_argument("--vectors", type=int, default=None,
+    p.add_argument("--vectors", type=_vector_count, default=None,
                    help="override the spec's simulation vectors")
     p.add_argument("--seed", type=int, default=None,
                    help="override the spec's seed")
@@ -462,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kiss", help="KISS file, or a bundled benchmark "
                    "name (traffic, detector, vending, arbiter, "
                    "redundant, elevator)")
-    p.add_argument("--vectors", type=int, default=1500)
+    p.add_argument("--vectors", type=_vector_count, default=1500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fsm)
 

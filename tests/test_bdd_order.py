@@ -1,11 +1,15 @@
 """Structural BDD variable order and the cone-local don't-care pass.
 
-The don't-care pass builds its BDDs in :func:`structural_order` and
-computes observability don't-cares over the node's fanout cone only.
-Both are exact.  The reference below is the pass as it was before
-either: a manager ordered by primary-input declaration order and an
-ODC that rebuilds every node of the network for every candidate.  The
-pass must reproduce it with ``==`` covers and ``==`` results.
+Every manager :func:`network_bdds` creates is ordered by
+:func:`structural_order`.  The don't-care pass computes observability
+don't-cares over the node's fanout cone only, and each node's don't-care
+set from one fanin relation.  All three are exact.  The reference below
+is the pass as it was before any of them: a manager ordered by
+primary-input declaration order, an ODC that rebuilds every node of the
+network for every candidate, and a don't-care set made of the
+controllability don't-cares plus the image of the ODC, each from its own
+fanin relation.  The pass must reproduce it with ``==`` covers and
+``==`` results.
 """
 
 import random
@@ -14,8 +18,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bdd import circuit
 from repro.bdd.bdd import BDD
-from repro.bdd.circuit import network_bdds, structural_order
+from repro.bdd.circuit import bdd_to_cover, network_bdds, structural_order
 from repro.logic import generators as gen
 from repro.logic.gates import GateType
 from repro.logic.netlist import Network
@@ -25,6 +30,10 @@ from repro.opt.logic import dontcare
 from repro.opt.logic.dontcare import (controllability_dont_cares,
                                       dontcare_power_optimization,
                                       observability_dont_cares)
+from repro.opt.seq.precompute import (combinational_precompute,
+                                      disable_probability,
+                                      precomputed_comparator)
+from repro.power.activity import signal_probability_exact
 from repro.verify import combinational_equivalent
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -68,10 +77,36 @@ def ref_observability_dont_cares(net, node_name, funcs=None):
     return odc
 
 
+def ref_dont_cares(net, node_name, funcs, odc):
+    """CDC image ∪ ODC image, each over its own fanin relation."""
+    node = net.node(node_name)
+    bdd = odc.bdd
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+
+    def relation(prefix):
+        aux = [f"{prefix}_{node_name}_{i}" for i in range(len(node.fanins))]
+        rel = bdd.true
+        for y, fi in zip(aux, node.fanins):
+            rel = rel & ~(bdd.var(y) ^ funcs[fi])
+        return aux, rel
+
+    aux, rel = relation("__cdc")
+    dc = bdd_to_cover(~rel.exists(sources), aux)
+    if not odc.is_false:
+        aux, rel = relation("__odcimg")
+        img = rel.and_exists(odc, sources)
+        # Fanin combos reachable *only* under the ODC condition.
+        reach_all = rel.exists(sources)
+        non_odc = rel.and_exists(~odc, sources)
+        dc = dc.union(bdd_to_cover(reach_all & img & ~non_odc, aux))
+    return dc
+
+
 def ref_dontcare_pass(net, **kwargs):
-    with mock.patch.object(dontcare, "structural_order", pi_order), \
+    with mock.patch.object(circuit, "structural_order", pi_order), \
             mock.patch.object(dontcare, "observability_dont_cares",
-                              ref_observability_dont_cares):
+                              ref_observability_dont_cares), \
+            mock.patch.object(dontcare, "_dont_cares", ref_dont_cares):
         return dontcare_power_optimization(net, **kwargs)
 
 
@@ -166,20 +201,18 @@ class TestStructuralOrder:
         (lambda: gen.comparator(16), 300)])
     def test_node_count_ceiling(self, make, ceiling):
         net = make()
-        manager = BDD(structural_order(net))
-        network_bdds(net, manager)
+        manager = next(iter(network_bdds(net).values())).bdd
         assert manager.num_nodes() <= ceiling
 
-    def test_default_network_bdds_order_unchanged(self):
+    def test_default_network_bdds_order_is_structural(self):
         # collapse_to_cover enumerates BDD paths, so its covers depend on
-        # the default (topological-order) variable order.
+        # the variable order of the manager network_bdds creates.
         net = gen.array_multiplier(3)
         manager = next(iter(network_bdds(net).values())).bdd
-        assert manager.var_names == [n for n in net.topo_order()
-                                     if net.nodes[n].is_source()]
-        assert manager.var_names == pi_order(net)
+        assert manager.var_names == structural_order(net)
+        assert manager.var_names != pi_order(net)
         assert [len(collapse_to_cover(net, out).cubes)
-                for out in net.outputs] == [1, 4, 9, 11, 8, 3]
+                for out in net.outputs] == [1, 4, 9, 10, 8, 3]
 
     def test_exact_equivalence_on_wide_comparator(self):
         net = gen.comparator(16)
@@ -191,10 +224,33 @@ class TestStructuralOrder:
         assert not combinational_equivalent(net, broken)
 
 
+# -- wide adders and comparators stay under the node budget --------------
+
+class TestWideCircuitsUnderBudget:
+    """Figure 1 and the exact estimators at n = 16, exponential in
+    declaration order."""
+
+    def test_precomputed_comparator(self):
+        assert precomputed_comparator(16).disable_probability == 0.5
+
+    def test_combinational_precompute(self):
+        result = combinational_precompute(gen.comparator(16),
+                                          ["c15", "d15"])
+        assert result.disable_probability == 0.5
+
+    def test_disable_probability(self):
+        assert disable_probability(gen.comparator(16),
+                                   ["c15", "d15"]) == 0.5
+
+    def test_signal_probability_exact(self):
+        net = gen.ripple_carry_adder(16)
+        assert set(signal_probability_exact(net)) == set(net.nodes)
+
+
 # -- cone-local ODC == full rebuild ---------------------------------------
 
 def assert_odc_matches(net):
-    funcs = network_bdds(net, BDD(structural_order(net)))
+    funcs = network_bdds(net)
     for name, node in net.nodes.items():
         if node.is_source():
             continue
@@ -222,7 +278,7 @@ class TestConeLocalODC:
     @pytest.mark.parametrize("label, make", FIXED)
     def test_adds_no_variable(self, label, make):
         net = make()
-        funcs = network_bdds(net, BDD(structural_order(net)))
+        funcs = network_bdds(net)
         bdd = next(iter(funcs.values())).bdd
         before = list(bdd.var_names)
         for name, node in net.nodes.items():
@@ -282,6 +338,52 @@ class TestDontCaresAgainstSimulation:
             for m in range(count):
                 point = {x: m >> k & 1 for k, x in enumerate(net.inputs)}
                 assert odc.evaluate(point) == (not seen >> m & 1)
+
+
+# -- one fanin relation == CDC image ∪ ODC image ----------------------------
+
+def assert_dont_cares_match(net):
+    net = to_sop_network(net)
+    funcs = network_bdds(net)
+    for name, node in net.nodes.items():
+        if node.is_source() or not node.fanins:
+            continue
+        odc = observability_dont_cares(net, name, funcs)
+        assert dontcare._dont_cares(net, name, funcs, odc).is_equivalent(
+            ref_dont_cares(net, name, funcs, odc))
+
+
+class TestOneFaninRelation:
+    @pytest.mark.parametrize("label, make", FIXED)
+    def test_fixed(self, label, make):
+        assert_dont_cares_match(make())
+
+    @SETTINGS
+    @given(**circuit_args)
+    def test_random_logic(self, seed, num_inputs, num_gates):
+        assert_dont_cares_match(gen.random_logic(num_inputs, num_gates,
+                                                 seed=seed))
+
+    @SETTINGS
+    @given(num_latches=st.integers(1, 4), **circuit_args)
+    def test_latched(self, seed, num_inputs, num_gates, num_latches):
+        assert_dont_cares_match(latched_circuit(seed, num_inputs,
+                                                num_gates, num_latches))
+
+    @pytest.mark.parametrize("label, make", FIXED)
+    def test_cdc_is_the_false_odc_case(self, label, make):
+        net = to_sop_network(make())
+        funcs = network_bdds(net)
+        bdd = next(iter(funcs.values())).bdd
+        found = 0
+        for name, node in net.nodes.items():
+            if node.is_source() or not node.fanins:
+                continue
+            cdc = controllability_dont_cares(net, name, funcs)
+            assert cdc.to_strings() == \
+                ref_dont_cares(net, name, funcs, bdd.false).to_strings()
+            found += not cdc.is_empty()
+        assert found
 
 
 # -- whole pass == reference ------------------------------------------------

@@ -341,7 +341,9 @@ class TestFlowSpec:
     def test_bad_specs_rejected(self):
         for bad in ({}, {"passes": []}, {"passes": [42]},
                     {"passes": [{"params": {}}]},
-                    {"passes": [{"pass": "map", "params": 3}]}, []):
+                    {"passes": [{"pass": "map", "params": 3}]}, [],
+                    {"num_vectors": 0, "passes": ["extract"]},
+                    {"num_vectors": -5, "passes": ["extract"]}):
             with pytest.raises(ValueError):
                 FlowSpec.from_dict(bad)
 
@@ -520,6 +522,31 @@ class TestCli:
             {"passes": [{"pass": "dontcare", "params": {"size_cap": 0}}]}))
         assert main(["flow", comb_blif, "--spec", str(capped)]) == 2
         assert "unknown params size_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["report", "glitch", "balance",
+                                     "optimize", "map", "flow", "fsm"])
+    @pytest.mark.parametrize("count", ["0", "-1", "x"])
+    def test_bad_vectors_exit_2(self, cmd, count, comb_blif, tmp_path,
+                                capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"passes": ["extract"]}))
+        argv = {"flow": ["flow", comb_blif, "--spec", str(spec)],
+                "fsm": ["fsm", "traffic"]}.get(cmd, [cmd, comb_blif])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--vectors", count])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --vectors" in err
+        assert "Traceback" not in err
+
+    def test_flow_spec_nonpositive_vectors_exit_2(self, comb_blif,
+                                                  tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"num_vectors": 0,
+                                    "passes": ["extract"]}))
+        assert main(["flow", comb_blif, "--spec", str(spec)]) == 2
+        assert "num_vectors must be at least 1, got 0" in \
+            capsys.readouterr().err
 
     def test_balance_selective_and_cap(self, tmp_path, capsys):
         from repro.logic.generators import parity_tree
